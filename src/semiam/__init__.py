@@ -54,12 +54,15 @@ from .clifford import (
     am_constant,
     build_clifford,
     collapse,
+    diagonal_closed_form,
     diagonal_solve,
     semigroup_table,
+    unit_and_diagonal,
     unit_solve,
 )
 from .enumeration import (
     GapReport,
+    InstanceLimitError,
     SpectrumReport,
     canonical_table,
     enumerate_by_extension,

@@ -218,8 +218,7 @@ def cmd_product(args) -> tuple:
 
 def cmd_clifford(args) -> tuple:
     g = _clifford(_load_json(args.input))
-    u = clifford_mod.unit_solve(g)
-    d = clifford_mod.diagonal_solve(g)
+    u, d = clifford_mod.unit_and_diagonal(g)
     skel_d = diagonal_recursive(g.skeleton)
     collapsed = clifford_mod.collapse(d)
     am = d.am()
@@ -248,11 +247,14 @@ def cmd_spectrum(args) -> tuple:
 
 
 def cmd_gap_search(args) -> tuple:
-    report = enumeration.gap_search(
-        skeleton_max_size=args.skeleton_max_size,
-        max_cyclic_order=args.max_cyclic_order,
-        instance_limit=args.limit,
-    )
+    try:
+        report = enumeration.gap_search(
+            skeleton_max_size=args.skeleton_max_size,
+            max_cyclic_order=args.max_cyclic_order,
+            instance_limit=args.limit,
+        )
+    except enumeration.InstanceLimitError as exc:
+        raise _fail_invalid("instance_limit", exc.limit)
     return report.to_json_dict(), EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -282,7 +284,7 @@ def cmd_verify(args) -> tuple:
     base_obj = obj["base"]
     if isinstance(base_obj, dict) and "skeleton" in base_obj:
         base = _clifford(base_obj)
-        u = clifford_mod.unit_solve(base)
+        u = clifford_mod.clifford_unit_from_skeleton(base)
         perm = list(range(base.n))
     else:
         base = _semilattice(base_obj)

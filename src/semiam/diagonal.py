@@ -10,6 +10,7 @@ sum is the amenability constant of the algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exactlinalg import ExactMatrix, rat, rat_str
 from .semilattice import Semilattice, product
@@ -117,11 +118,20 @@ class DiagonalTensor:
     def entry(self, g: int, h: int) -> Fraction:
         return self.entries[g][h]
 
+    def scaled(self) -> tuple:
+        """(L, rows) with L the least common denominator of the entries and
+        rows the entries times L, as ints."""
+        den = lcm(*(v.denominator for row in self.entries for v in row))
+        rows = tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row)
+            for row in self.entries
+        )
+        return den, rows
+
     def am(self) -> Fraction:
         """Amenability constant: the absolute sum of all entries."""
-        return sum(
-            (abs(v) for row in self.entries for v in row), Fraction(0)
-        )
+        den, rows = self.scaled()
+        return Fraction(sum(abs(v) for row in rows for v in row), den)
 
     def matrix(self) -> ExactMatrix:
         return ExactMatrix(self.entries)
@@ -213,7 +223,49 @@ def verify_diagonal(d: DiagonalTensor, u: L1Vector):
 
     Conditions: m(D) = u, and delta_q . D = D . delta_q for every basis
     element q.  The witness names the first failing equation.
+
+    Acceptance is decided in integers on the base's generating set alone:
+    if q and r commute with D, so does qr.  Only a tensor that fails there
+    takes the full equation walk, which names the witness.
     """
+    if _holds_on_generators(d, u):
+        return True, None
+    return _first_failing_equation(d, u)
+
+
+def _holds_on_generators(d: DiagonalTensor, u: L1Vector) -> bool:
+    """Both conditions on the integer matrix L*D, centrality only against
+    base.generating_set(); m(L*D) = L*u is compared by cross-multiplying."""
+    base = d.base
+    n = base.n
+    den, rows = d.scaled()
+    moment = [0] * n
+    for g in range(n):
+        row = rows[g]
+        for h in range(n):
+            moment[base.mul(g, h)] += row[h]
+    if any(
+        m * c.denominator != c.numerator * den
+        for m, c in zip(moment, u.coeffs)
+    ):
+        return False
+    for q in base.generating_set():
+        image = [base.mul(q, x) for x in range(n)]
+        left = [[0] * n for _ in range(n)]
+        for x in range(n):
+            target = left[image[x]]
+            for h, v in enumerate(rows[x]):
+                target[h] += v
+        for g in range(n):
+            right = [0] * n
+            for y, v in enumerate(rows[g]):
+                right[image[y]] += v
+            if right != left[g]:
+                return False
+    return True
+
+
+def _first_failing_equation(d: DiagonalTensor, u: L1Vector):
     base = d.base
     n = base.n
     moment = [Fraction(0)] * n

@@ -9,7 +9,6 @@ serves as the oracle at the smallest sizes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
@@ -18,8 +17,8 @@ from .clifford import (
     CliffordSemigroup,
     ConnectingHom,
     FiniteAbelianGroup,
+    am_constant,
     build_clifford,
-    diagonal_solve,
 )
 from .diagonal import diagonal_recursive
 from .exactlinalg import rat_str
@@ -375,6 +374,14 @@ def _systems_for(skeleton: Semilattice, groups):
             yield homs
 
 
+class InstanceLimitError(ValueError):
+    """The gap search family is larger than the caller allowed."""
+
+    def __init__(self, limit: int):
+        super().__init__(f"gap search family exceeds {limit} instances")
+        self.limit = limit
+
+
 def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
                   instance_limit: int = 20000) -> list:
     """Every Clifford instance in the search family, in deterministic order."""
@@ -399,45 +406,33 @@ def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
                         )
                     )
                     if len(instances) > instance_limit:
-                        raise ValueError(
-                            f"gap search family exceeds {instance_limit} instances"
-                        )
+                        raise InstanceLimitError(instance_limit)
     return instances
 
 
-def _solve_gap_instance(payload):
-    table, orders, homs = payload
-    skel = Semilattice(table)
-    groups = [FiniteAbelianGroup([k]) for k in orders]
-    hom_spec = {(s, t): imgs for (s, t, imgs) in homs}
+def _solve_gap_instance(inst: GapInstance) -> Fraction:
+    skel = Semilattice(inst.skeleton_table)
+    groups = [FiniteAbelianGroup([k]) for k in inst.orders]
+    hom_spec = {(s, t): imgs for (s, t, imgs) in inst.homs}
     built = build_clifford(skel, groups, hom_spec)
     if not isinstance(built, CliffordSemigroup):
         raise RuntimeError(f"search instance failed validation: {built}")
-    return diagonal_solve(built).am()
+    return am_constant(built)
 
 
 def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
-               workers: int | None = None, instance_limit: int = 20000) -> GapReport:
+               instance_limit: int = 20000) -> GapReport:
     """Solve every instance in the family and report the AM multiset.
 
     The point: no commutative Clifford semigroup algebra in this family has
-    an amenability constant strictly between 5 and 9.  Output is identical
-    for any worker count; SEMIAM_WORKERS is read when workers is None.
+    an amenability constant strictly between 5 and 9.  Each diagonal comes
+    from the closed form and is verified before its constant is counted.
     """
-    if workers is None:
-        workers = int(os.environ.get("SEMIAM_WORKERS", "1") or "1")
     instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
-    payloads = [inst.key() for inst in instances]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            ams = list(pool.map(_solve_gap_instance, payloads, chunksize=16))
-    else:
-        ams = [_solve_gap_instance(p) for p in payloads]
     counts: dict = {}
     violations = []
-    for inst, am in zip(instances, ams):
+    for inst in instances:
+        am = _solve_gap_instance(inst)
         inst.am = am
         counts[am] = counts.get(am, 0) + 1
         if Fraction(5) < am < Fraction(9):

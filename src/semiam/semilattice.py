@@ -162,6 +162,10 @@ class Semilattice:
     def mul(self, s: int, t: int) -> int:
         return self.table[s][t]
 
+    def generating_set(self) -> tuple:
+        """Every element: a generating set, shared with CliffordSemigroup."""
+        return tuple(range(self.n))
+
     def le(self, s: int, t: int) -> bool:
         return self.leq[s][t]
 

@@ -1,0 +1,38 @@
+"""The benchmark tracer (benchmarks/spans.py) wraps library functions found by
+name.  Renaming or deleting one must fail here, not only in a traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from semiam.moebius import mobius_table
+from semiam.semilattice import chain
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    traced = load_spans().TRACED
+    assert traced
+    for span, module_name, attribute in traced:
+        owner = importlib.import_module(module_name)
+        if "." in attribute:
+            # the tracer reads methods from the class's own __dict__
+            cls_name, method = attribute.split(".")
+            cls = getattr(owner, cls_name)
+            assert method in vars(cls), span
+            assert callable(vars(cls)[method]), span
+        else:
+            assert callable(getattr(owner, attribute)), span
+
+
+def test_mobius_table_result_has_pairs():
+    # the tracer counts Moebius nonzeros through .pairs()
+    assert [v for _, _, v in mobius_table(chain(1)).pairs()] == [1, -1, 1]

@@ -224,14 +224,50 @@ def test_gap_search_small(capsys):
     assert "instances = 7  ok = True" in out
 
 
-def test_gap_search_worker_env(capsys, monkeypatch):
-    args = ["gap-search", "--skeleton-max-size", "2", "--max-cyclic-order", "2"]
-    code, base, _ = run(capsys, *args)
-    assert code == 0
-    monkeypatch.setenv("SEMIAM_WORKERS", "2")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert out == base
+def test_gap_search_instance_limit_exits_2(capsys):
+    code, payload, err = run_json(capsys, "gap-search", "--limit", "3")
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "instance_limit", "witness": [3]}],
+    }
+    assert err == ""
+
+
+def _chain_z2_doc(**changes):
+    doc = {
+        "skeleton": {"n": 2, "hasse": [[0, 1]]},
+        "groups": [{"cyclic": [2]}, {"cyclic": [2]}],
+        "homs": [{"from": 1, "to": 0, "gen_images": [[1]]}],
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("images", ["x", [1], [[1], "y"], [[True]], 7])
+@pytest.mark.parametrize("command", ["clifford", "verify"])
+def test_malformed_gen_images_exit_2(capsys, command, images):
+    doc = _chain_z2_doc(homs=[{"from": 1, "to": 0, "gen_images": images}])
+    if command == "verify":
+        doc = {"base": doc, "diagonal": [[0] * 4 for _ in range(4)]}
+    code, payload, err = run_json(capsys, command, json.dumps(doc))
+    assert code == 2
+    assert payload["violations"] == [{"axiom": "hom_entry", "witness": []}]
+    assert err == ""
+
+
+def test_malformed_homs_list_exits_2(capsys):
+    code, payload, _ = run_json(capsys, "clifford", json.dumps(_chain_z2_doc(homs=5)))
+    assert code == 2
+    assert payload["violations"][0]["axiom"] == "hom_entry"
+
+
+@pytest.mark.parametrize("entry", [{"cyclic": [True]}, [True], {"cyclic": [2, False]}])
+def test_boolean_group_order_exits_2(capsys, entry):
+    doc = _chain_z2_doc(groups=[{"cyclic": [2]}, entry], homs=[])
+    code, payload, _ = run_json(capsys, "clifford", json.dumps(doc))
+    assert code == 2
+    assert payload["violations"] == [{"axiom": "group", "witness": [1]}]
 
 
 def test_verify_accepts_the_real_diagonal(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from semiam.clifford import FiniteAbelianGroup
 from semiam.enumeration import (
+    InstanceLimitError,
     _systems_for,
     canonical_table,
     enumerate_brute,
@@ -128,6 +129,13 @@ def test_gap_instances_limit_guard():
         gap_instances(3, 4, instance_limit=10)
 
 
+def test_gap_search_instance_limit_names_the_limit():
+    with pytest.raises(InstanceLimitError) as caught:
+        gap_search(2, 2, instance_limit=6)
+    assert caught.value.limit == 6
+    assert gap_search(2, 2, instance_limit=7).instance_count == 7
+
+
 def test_gap_search_small_family_golden():
     report = gap_search(skeleton_max_size=2, max_cyclic_order=2)
     assert report.instance_count == 7
@@ -143,12 +151,6 @@ def test_gap_search_small_family_golden():
     assert payload["ok"] is True
     assert payload["am_counts"] == [["1", 2], ["5", 5]]
     assert payload["min_am_above_5"] is None
-
-
-def test_gap_search_worker_count_does_not_change_output():
-    one = gap_search(skeleton_max_size=2, max_cyclic_order=2, workers=1)
-    two = gap_search(skeleton_max_size=2, max_cyclic_order=2, workers=2)
-    assert one.to_json_dict() == two.to_json_dict()
 
 
 def test_gap_instance_json_shape():

@@ -244,7 +244,7 @@ def _chain_z2_doc(**changes):
     return doc
 
 
-@pytest.mark.parametrize("images", ["x", [1], [[1], "y"], [[True]], 7])
+@pytest.mark.parametrize("images", ["x", [1], [[1], "y"], [[True]], 7, None])
 @pytest.mark.parametrize("command", ["clifford", "verify"])
 def test_malformed_gen_images_exit_2(capsys, command, images):
     doc = _chain_z2_doc(homs=[{"from": 1, "to": 0, "gen_images": images}])

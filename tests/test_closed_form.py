@@ -17,7 +17,6 @@ from semiam.clifford import (
     clifford_unit_from_skeleton,
     diagonal_closed_form,
     diagonal_solve,
-    from_json_dict,
     unit_and_diagonal,
     unit_solve,
 )
@@ -226,23 +225,3 @@ def test_closed_form_failure_is_loud(monkeypatch):
     )
     with pytest.raises(DiagonalSolveError):
         unit_and_diagonal(g)
-
-
-@pytest.mark.parametrize("images", ["x", [1], [[1], "y"], [[True]], None])
-def test_from_json_dict_rejects_malformed_gen_images(images):
-    doc = {
-        "skeleton": {"n": 2, "hasse": [[0, 1]]},
-        "groups": [{"cyclic": [2]}, {"cyclic": [2]}],
-        "homs": [{"from": 1, "to": 0, "gen_images": images}],
-    }
-    report = from_json_dict(doc)
-    assert not isinstance(report, CliffordSemigroup)
-    assert [v.axiom for v in report.violations] == ["hom_entry"]
-
-
-def test_from_json_dict_rejects_boolean_orders():
-    doc = {"skeleton": {"table": [[0]]}, "groups": [{"cyclic": [True]}]}
-    report = from_json_dict(doc)
-    assert not isinstance(report, CliffordSemigroup)
-    assert report.violations[0].axiom == "group"
-    assert report.violations[0].witness == (0,)

@@ -1,23 +1,12 @@
 """Exact diagonals and amenability constants of finite semilattice and
 commutative Clifford semigroup convolution algebras."""
 
-from .exactlinalg import (
-    ExactMatrix,
-    LinearSolution,
-    Rational,
-    SparseEliminator,
-    kron,
-    rat,
-    rat_decimal,
-    rat_str,
-    solve_linear,
-)
+from .exactlinalg import SparseEliminator, rat, rat_decimal, rat_str
 from .semilattice import (
     Semilattice,
     ValidationReport,
     Violation,
     are_isomorphic,
-    cayley_embed,
     chain,
     check_table,
     flat,
@@ -30,7 +19,6 @@ from .semilattice import (
 from .diagonal import (
     DiagonalTensor,
     L1Vector,
-    amenability_constant,
     convolve,
     diagonal_recursive,
     tensor_diagonal,
@@ -43,7 +31,6 @@ from .moebius import (
     mobius_table,
     schutzenberger,
     schutzenberger_inverse,
-    unit_via_schutzenberger,
 )
 from .clifford import (
     CliffordSemigroup,
@@ -56,7 +43,6 @@ from .clifford import (
     collapse,
     diagonal_closed_form,
     diagonal_solve,
-    semigroup_table,
     unit_and_diagonal,
     unit_solve,
 )

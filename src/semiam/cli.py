@@ -102,8 +102,8 @@ def _semilattice_payload(s: Semilattice) -> dict:
 
 
 def _canonical_matrix_strings(d: DiagonalTensor):
-    m = d.matrix_canonical()
-    return [[rat_str(v) for v in row] for row in m.data]
+    perm = d.base.canonical_perm
+    return [[rat_str(d.entries[g][h]) for h in perm] for g in perm]
 
 
 def _semilattice_diagonal(s: Semilattice, method: str) -> DiagonalTensor:
@@ -304,9 +304,6 @@ def cmd_verify(args) -> tuple:
         k: (rat_str(v) if k in ("lhs", "rhs") else v)
         for k, v in witness.items()
     }
-    rendered["pair"] = list(witness["pair"]) if "pair" in witness else None
-    if rendered["pair"] is None:
-        rendered.pop("pair")
     return {"ok": False, "witness": rendered}, EXIT_INVALID
 
 
@@ -494,6 +491,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "digits", 0) > sys.int_info.default_max_str_digits:
+            raise _fail_invalid("digits", args.digits)
         payload, code = args.func(args)
         _emit(payload, args.command, args.format)
     except InputError as exc:

@@ -17,7 +17,7 @@ from math import lcm
 from .diagonal import DiagonalTensor, L1Vector, convolve, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
 from .moebius import mobius_table
-from .semilattice import Semilattice, ValidationReport, Violation
+from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 
 class NotUnitalError(RuntimeError):
@@ -177,7 +177,6 @@ class CliffordSemigroup:
         self.member_of = tuple(member_of)
         self.labels = tuple(labels)
         self.canonical_perm = tuple(range(n))
-        self.idempotent_of = {s: offset[s] for s in range(skeleton.n)}
         table = []
         for x in range(n):
             sx, gx = self.block_of[x], self.member_of[x]
@@ -199,24 +198,17 @@ class CliffordSemigroup:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def block_elements(self, s: int) -> range:
-        return range(self.offset[s], self.offset[s] + self.groups[s].order)
-
     def generating_set(self) -> tuple:
         """Block identities plus cyclic generators: generates the semigroup."""
         gens = []
         for s in self.skeleton.canonical_perm:
-            gens.append(self.idempotent_of[s])
+            gens.append(self.offset[s])
             for g in self.groups[s].generators():
                 gens.append(self.offset[s] + g)
         return tuple(gens)
 
     def __repr__(self):
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"
-
-
-def semigroup_table(g: CliffordSemigroup) -> tuple:
-    return g.table
 
 
 def build_clifford(skeleton: Semilattice, groups, homs=None):
@@ -290,15 +282,15 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
             if violations:
                 break
     if not violations:
-        idem = sorted(semigroup.idempotent_of.values())
+        idem = sorted(semigroup.offset.values())
         actual = [x for x in range(n) if table[x][x] == x]
         if idem != actual:
             violations.append(Violation("idempotents", tuple(actual)))
         else:
             for s in range(skeleton.n):
                 for t in range(skeleton.n):
-                    es, et = semigroup.idempotent_of[s], semigroup.idempotent_of[t]
-                    if table[es][et] != semigroup.idempotent_of[skeleton.table[s][t]]:
+                    es, et = semigroup.offset[s], semigroup.offset[t]
+                    if table[es][et] != semigroup.offset[skeleton.table[s][t]]:
                         violations.append(Violation("idempotent_product", (s, t)))
     if violations:
         return ValidationReport(False, violations)
@@ -338,7 +330,7 @@ def clifford_unit_from_skeleton(g: CliffordSemigroup) -> L1Vector:
     base_unit = unit(g.skeleton)
     coeffs = [0] * g.n
     for s in range(g.skeleton.n):
-        coeffs[g.idempotent_of[s]] = int(base_unit.coeffs[s])
+        coeffs[g.offset[s]] = int(base_unit.coeffs[s])
     for q in g.generating_set():
         image = [0] * g.n
         for x, c in enumerate(coeffs):
@@ -473,10 +465,6 @@ def collapse(d: DiagonalTensor) -> DiagonalTensor:
         for y in range(g.n):
             entries[sx][g.block_of[y]] += row[y]
     return DiagonalTensor(skel, entries)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def from_json_dict(obj):

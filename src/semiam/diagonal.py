@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .exactlinalg import ExactMatrix, rat, rat_str
+from .exactlinalg import rat, rat_str
 from .semilattice import Semilattice, product
 
 
@@ -48,20 +48,9 @@ class L1Vector:
         self._check_base(other)
         return L1Vector(self.base, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "L1Vector") -> "L1Vector":
-        self._check_base(other)
-        return L1Vector(self.base, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c) -> "L1Vector":
-        c = rat(c)
-        return L1Vector(self.base, [c * a for a in self.coeffs])
-
     def _check_base(self, other):
         if self.base.n != other.base.n:
             raise ValueError("mixed bases")
-
-    def norm(self) -> Fraction:
-        return sum((abs(c) for c in self.coeffs), Fraction(0))
 
     def __repr__(self):
         parts = [
@@ -115,9 +104,6 @@ class DiagonalTensor:
     def n(self) -> int:
         return self.base.n
 
-    def entry(self, g: int, h: int) -> Fraction:
-        return self.entries[g][h]
-
     def scaled(self) -> tuple:
         """(L, rows) with L the least common denominator of the entries and
         rows the entries times L, as ints."""
@@ -132,18 +118,6 @@ class DiagonalTensor:
         """Amenability constant: the absolute sum of all entries."""
         den, rows = self.scaled()
         return Fraction(sum(abs(v) for row in rows for v in row), den)
-
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.entries)
-
-    def matrix_canonical(self) -> ExactMatrix:
-        """Entries rearranged into the base's canonical element order."""
-        perm = getattr(self.base, "canonical_perm", None)
-        if perm is None:
-            return self.matrix()
-        return ExactMatrix(
-            [[self.entries[g][h] for h in perm] for g in perm]
-        )
 
     def is_symmetric(self) -> bool:
         return all(
@@ -163,10 +137,6 @@ class DiagonalTensor:
 
     def __repr__(self):
         return f"DiagonalTensor(n={self.n}, am={rat_str(self.am())})"
-
-
-def amenability_constant(d: DiagonalTensor) -> Fraction:
-    return d.am()
 
 
 def diagonal_recursive(s: Semilattice) -> DiagonalTensor:

@@ -54,14 +54,6 @@ def canonical_table(s: Semilattice) -> tuple:
     return best
 
 
-def _dedup(tables) -> list:
-    """Canonicalize raw tables and return the sorted distinct canon tables."""
-    seen = set()
-    for table in tables:
-        seen.add(canonical_table(Semilattice(table)))
-    return sorted(seen)
-
-
 def _down_closed_masks(s: Semilattice):
     """Nonempty down-closed subsets of s, as bitmasks."""
     n = s.n

@@ -1,9 +1,9 @@
-"""Exact rational scalars, dense matrices and linear solving.
+"""Exact rational scalars and sparse exact linear solving.
 
 Every other module computes on top of this one; no floats appear anywhere.
-Scalars are stdlib Fractions (already reduced, positive denominator), and
-the solver reports unsolvable or underdetermined systems with a witness
-instead of guessing.
+Scalars are stdlib Fractions (already reduced, positive denominator).  The
+sparse eliminator behind the Clifford solver oracle reports unsolvable or
+underdetermined systems with a witness instead of guessing.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-Rational = Fraction
 
 
 def rat(value) -> Fraction:
@@ -52,99 +50,6 @@ def rat_decimal(value, digits: int = 6) -> str:
     return f"{sign}{whole}.{str(frac_digits).zfill(digits)}"
 
 
-class ExactMatrix:
-    """Dense matrix of Fractions."""
-
-    def __init__(self, rows):
-        data = [[rat(x) for x in row] for row in rows]
-        if not data or not data[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        self.data = tuple(tuple(row) for row in data)
-        self.nrows = len(data)
-        self.ncols = width
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        rows = "; ".join(" ".join(rat_str(x) for x in row) for row in self.data)
-        return f"ExactMatrix({self.nrows}x{self.ncols}: {rows})"
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def scale(self, c) -> "ExactMatrix":
-        c = rat(c)
-        return ExactMatrix([[c * x for x in row] for row in self.data])
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.data))
-        return ExactMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.data
-            ]
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.data)))
-
-    def abs_sum(self) -> Fraction:
-        """Sum of absolute values of all entries."""
-        return sum((abs(x) for row in self.data for x in row), Fraction(0))
-
-    def to_lists(self):
-        return [list(row) for row in self.data]
-
-    def to_strings(self):
-        return [[rat_str(x) for x in row] for row in self.data]
-
-
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; row/column index of a block is row-major (a, b)."""
-    rows = []
-    for ra in a.data:
-        for rb in b.data:
-            rows.append([x * y for x in ra for y in rb])
-    return ExactMatrix(rows)
-
-
 @dataclass
 class LinearSolution:
     """Outcome of an exact linear solve.
@@ -175,10 +80,6 @@ class SparseEliminator:
         self.pivot_rows: dict[int, tuple[dict, int]] = {}
         self.order: list[int] = []  # pivot columns in insertion order
         self.inconsistent: object | None = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
 
     def full_rank(self) -> bool:
         return len(self.pivot_rows) == self.ncols
@@ -267,14 +168,3 @@ class SparseEliminator:
             x[pivot] = acc / row[pivot]
         return LinearSolution("unique", vector=tuple(x))
 
-
-def solve_linear(a: ExactMatrix, b) -> LinearSolution:
-    """Solve a x = b exactly; b is a sequence of length a.nrows."""
-    rhs = [rat(v) for v in b]
-    if len(rhs) != a.nrows:
-        raise ValueError("right hand side length mismatch")
-    elim = SparseEliminator(a.ncols)
-    for i, row in enumerate(a.data):
-        coeffs = {j: v for j, v in enumerate(row) if v}
-        elim.add_row(coeffs, rhs[i], tag=i)
-    return elim.solve()

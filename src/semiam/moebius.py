@@ -83,11 +83,6 @@ def schutzenberger_inverse(values, base: Semilattice) -> L1Vector:
     return L1Vector(base, coeffs)
 
 
-def unit_via_schutzenberger(base: Semilattice) -> L1Vector:
-    """The algebra unit as the preimage of the all-ones function."""
-    return schutzenberger_inverse([1] * base.n, base)
-
-
 def diagonal_via_mobius(base: Semilattice) -> DiagonalTensor:
     """d(s,t) = sum over r of mu~(s,r) mu~(t,r)."""
     table = mobius_table(base)

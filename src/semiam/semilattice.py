@@ -33,6 +33,10 @@ class ValidationReport:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_table(table) -> ValidationReport:
     """Check shape, range, idempotency, commutativity, associativity.
 
@@ -50,7 +54,7 @@ def check_table(table) -> ValidationReport:
         return ValidationReport(False, violations)
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            if not _is_int(v) or not 0 <= v < n:
                 violations.append(Violation("range", (i, j)))
     if violations:
         return ValidationReport(False, violations)
@@ -301,11 +305,6 @@ def product(a: Semilattice, b: Semilattice) -> Semilattice:
     return Semilattice(table, labels)
 
 
-def cayley_embed(s: Semilattice) -> tuple:
-    """Down-sets of all elements: an injective map into (subsets, intersection)."""
-    return tuple(s.down_set(x) for x in range(s.n))
-
-
 def _invariant(s: Semilattice, x: int) -> tuple:
     down = s.down_set(x)
     up = s.up_set(x)
@@ -375,7 +374,7 @@ def from_json_dict(obj):
         table = obj["table"]
         if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
             return ValidationReport(False, [Violation("shape", ())])
-        if "n" in obj and obj["n"] != len(table):
+        if "n" in obj and (not _is_int(obj["n"]) or obj["n"] != len(table)):
             return ValidationReport(False, [Violation("shape", (obj["n"],))])
         if labels is not None and len(labels) != len(set(labels)):
             return ValidationReport(False, [Violation("labels", ())])
@@ -384,11 +383,11 @@ def from_json_dict(obj):
         return validate(table, labels)
     if "hasse" in obj:
         n = obj.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             return ValidationReport(False, [Violation("shape", ("n",))])
         edges = obj["hasse"]
         if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)
+            isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)
             for e in edges
         ):
             return ValidationReport(False, [Violation("edge", ())])

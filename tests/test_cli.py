@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_six
+from conftest import SIX_LABELS, make_six
 from semiam import cli
 from semiam.diagonal import DiagonalTensor, diagonal_recursive
 
@@ -25,6 +25,12 @@ G2_JSON = json.dumps(
                    {"cyclic": [2]}, {"cyclic": [1]}, {"cyclic": [1]}],
         "homs": [],
     }
+)
+
+# the six-element lattice with element i moved to index [3, 0, 5, 1, 4, 2][i]
+SHUFFLED = make_six().relabel([3, 0, 5, 1, 4, 2])
+SHUFFLED_JSON = json.dumps(
+    {"table": [list(r) for r in SHUFFLED.table], "labels": list(SHUFFLED.labels)}
 )
 
 D_SIX_ROWS = [
@@ -61,6 +67,22 @@ def test_validate_ok(capsys):
     assert [0, 1] in payload["hasse"] and [3, 5] in payload["hasse"]
 
 
+@pytest.mark.parametrize(
+    "doc, axiom",
+    [
+        ({"n": True, "hasse": []}, "shape"),
+        ({"n": 2, "hasse": [[False, True]]}, "edge"),
+        ({"table": [[0]], "n": True}, "shape"),
+    ],
+    ids=["hasse-n", "hasse-edge", "table-n"],
+)
+def test_validate_rejects_booleans_as_integers(capsys, doc, axiom):
+    code, payload, err = run_json(capsys, "validate", json.dumps(doc))
+    assert code == 2
+    assert [v["axiom"] for v in payload["violations"]] == [axiom]
+    assert err == ""
+
+
 def test_validate_rejects_bad_table(capsys):
     bad = json.dumps({"table": [[0, 0], [0, 0]]})
     code, payload, _ = run_json(capsys, "validate", bad)
@@ -80,6 +102,25 @@ def test_diagonal_golden(capsys):
     assert payload["unit"] == ["0", "0", "0", "0", "0", "1"]
     assert payload["diagonal"] == D_SIX_ROWS
     assert payload["perm"] == [0, 1, 2, 3, 4, 5]
+
+
+def test_shuffled_input_is_written_in_canonical_order(capsys):
+    code, payload, _ = run_json(capsys, "diagonal", SHUFFLED_JSON)
+    assert code == 0
+    assert payload["perm"] == [3, 0, 5, 1, 4, 2]
+    assert payload["labels"] == SIX_LABELS
+    assert payload["am"] == "41"
+    assert payload["diagonal"] == D_SIX_ROWS
+
+    code, unit_payload, _ = run_json(capsys, "unit", SHUFFLED_JSON)
+    assert code == 0
+    assert unit_payload["perm"] == [3, 0, 5, 1, 4, 2]
+
+    # verify reads the canonical-order matrix back through the same perm
+    doc = {"base": json.loads(SHUFFLED_JSON), "diagonal": payload["diagonal"]}
+    code, out, _ = run_json(capsys, "verify", json.dumps(doc))
+    assert code == 0
+    assert out == {"ok": True}
 
 
 def test_diagonal_methods_agree(capsys):
@@ -357,6 +398,23 @@ def test_digits_flag(capsys):
     code, payload, _ = run_json(capsys, "am", SIX_JSON, "--digits", "2")
     assert code == 0
     assert payload["am_decimal"] == "41.00"
+
+
+def test_digits_above_the_int_str_limit_exit_2(capsys):
+    obj = json.loads(G2_JSON)
+    obj["groups"][3] = {"cyclic": [3]}  # AM = 131/3
+    doc = json.dumps(obj)
+    code, payload, err = run_json(capsys, "clifford", doc, "--digits", "5000")
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "digits", "witness": [5000]}],
+    }
+    assert err == ""
+    limit = sys.int_info.default_max_str_digits
+    code, payload, _ = run_json(capsys, "clifford", doc, "--digits", str(limit))
+    assert code == 0
+    assert payload["am_decimal"] == "43." + "6" * limit
 
 
 def test_table_format_diagonal(capsys):

@@ -198,7 +198,7 @@ class CollapsedClifford:
     def __init__(self):
         self.skeleton = chain(0)
         self.n = 2
-        self.idempotent_of = {0: 0}
+        self.offset = {0: 0}
         self.table = ((0, 0), (0, 0))
 
     def mul(self, a, b):

@@ -7,7 +7,6 @@ from conftest import make_broom, make_six, make_tree
 from semiam.diagonal import (
     DiagonalTensor,
     L1Vector,
-    amenability_constant,
     convolve,
     diagonal_recursive,
     tensor_diagonal,
@@ -91,14 +90,14 @@ def test_diagonal_golden_matrices():
     assert diagonal_recursive(make_six()).entries == frozen(D_SIX)
 
 
-def test_amenability_constants_small():
-    assert amenability_constant(diagonal_recursive(chain(0))) == 1
-    assert amenability_constant(diagonal_recursive(chain(1))) == 5
-    assert amenability_constant(diagonal_recursive(flat(2))) == 9
-    assert amenability_constant(diagonal_recursive(flat_with_top(2))) == 25
-    assert amenability_constant(diagonal_recursive(make_six())) == 41
-    assert amenability_constant(diagonal_recursive(make_tree())) == 13
-    assert amenability_constant(diagonal_recursive(make_broom())) == 13
+def test_am_constants_small():
+    assert diagonal_recursive(chain(0)).am() == 1
+    assert diagonal_recursive(chain(1)).am() == 5
+    assert diagonal_recursive(flat(2)).am() == 9
+    assert diagonal_recursive(flat_with_top(2)).am() == 25
+    assert diagonal_recursive(make_six()).am() == 41
+    assert diagonal_recursive(make_tree()).am() == 13
+    assert diagonal_recursive(make_broom()).am() == 13
 
 
 def test_diagonal_transports_under_relabeling():
@@ -185,22 +184,6 @@ def test_tensor_diagonal_rejects_other_bases():
     d = diagonal_recursive(chain(1))
     with pytest.raises(TypeError):
         tensor_diagonal(d, DiagonalTensor(Fake(), [[1]]))
-
-
-def test_matrix_canonical_reorders():
-    # build a shuffled six-element lattice; canonical view matches D_SIX
-    six = make_six()
-    perm = [3, 0, 5, 1, 4, 2]  # new index of old element i
-    other = six.relabel(perm)
-    d = diagonal_recursive(other)
-    canon = d.matrix_canonical()
-    # element order by (level, index): levels of new indices:
-    order = sorted(range(6), key=lambda x: (other.level[x], x))
-    assert list(other.canonical_perm) == order
-    for i, g in enumerate(order):
-        for j, h in enumerate(order):
-            assert canon.entry(i, j) == d.entries[g][h]
-    assert canon.abs_sum() == 41
 
 
 def test_closed_forms_first_values():

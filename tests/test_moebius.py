@@ -8,7 +8,6 @@ from semiam.moebius import (
     mobius_table,
     schutzenberger,
     schutzenberger_inverse,
-    unit_via_schutzenberger,
 )
 from semiam.semilattice import chain, flat, flat_with_top, power_set
 
@@ -120,10 +119,10 @@ def test_schutzenberger_roundtrip_seeded():
         assert schutzenberger(schutzenberger_inverse(values, six)) == values
 
 
-def test_unit_via_schutzenberger_matches_recursion():
+def test_unit_as_schutzenberger_preimage_matches_recursion():
     for s in [chain(0), chain(4), flat(4), flat_with_top(3), power_set(3),
               make_six(), make_tree(), make_broom()]:
-        assert unit_via_schutzenberger(s) == unit(s)
+        assert schutzenberger_inverse([1] * s.n, s) == unit(s)
 
 
 def test_diagonal_via_mobius_matches_recursion():

@@ -7,7 +7,6 @@ from semiam.semilattice import (
     Semilattice,
     ValidationReport,
     are_isomorphic,
-    cayley_embed,
     chain,
     check_table,
     flat,
@@ -199,8 +198,8 @@ def test_product_of_two_chains_is_diamond():
     assert perm is not None
 
 
-def test_cayley_embed_six(six):
-    down = cayley_embed(six)
+def test_down_sets_six(six):
+    down = tuple(six.down_set(x) for x in range(six.n))
     assert down == (
         frozenset({0}),
         frozenset({0, 1}),
@@ -213,9 +212,9 @@ def test_cayley_embed_six(six):
     assert down[3] & down[4] == down[0]
 
 
-def test_cayley_embed_injective_and_meet_compatible():
+def test_down_sets_injective_and_meet_compatible():
     for s in [chain(3), flat(3), flat_with_top(3), power_set(3), make_six()]:
-        down = cayley_embed(s)
+        down = tuple(s.down_set(x) for x in range(s.n))
         assert len(set(down)) == s.n
         for a in range(s.n):
             for b in range(s.n):

@@ -7,7 +7,8 @@ always written in canonical element order, with "perm" mapping canonical
 positions back to input indices.
 
 Exit codes: 0 success, 2 validation or verification failure, 3 method
-cross-check mismatch, 4 file/IO failure.
+cross-check mismatch, 4 file/IO failure, which includes a stdout that the
+reader closed early (semiam spectrum ... | head): nothing goes to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from fractions import Fraction
+from itertools import islice
 
 from . import clifford as clifford_mod
 from . import enumeration
@@ -102,8 +106,8 @@ def _semilattice_payload(s: Semilattice) -> dict:
 
 
 def _canonical_matrix_strings(d: DiagonalTensor):
-    perm = d.base.canonical_perm
-    return [[rat_str(d.entries[g][h]) for h in perm] for g in perm]
+    perm, rows, den = d.base.canonical_perm, d.rows, d.den
+    return [[rat_str(Fraction(rows[g][h], den)) for h in perm] for g in perm]
 
 
 def _semilattice_diagonal(s: Semilattice, method: str) -> DiagonalTensor:
@@ -128,7 +132,7 @@ def _diagonal_with_method(s: Semilattice, method: str) -> DiagonalTensor:
     }
     reference = computed["recursive"]
     for name, d in computed.items():
-        if d.entries != reference.entries:
+        if d != reference:
             detail = {
                 "mismatch": name,
                 "recursive": _canonical_matrix_strings(reference),
@@ -232,9 +236,9 @@ def cmd_clifford(args) -> tuple:
             for s in range(g.skeleton.n)
         ],
         "unit": [rat_str(c) for c in u.coeffs],
-        "diagonal": [[rat_str(v) for v in row] for row in d.entries],
+        "diagonal": _canonical_matrix_strings(d),
         "skeleton_am": rat_str(skel_am),
-        "collapse_matches_skeleton": collapsed.entries == skel_d.entries,
+        "collapse_matches_skeleton": collapsed == skel_d,
         "am_ge_skeleton": am >= skel_am,
     }
     payload.update(_am_fields(am, args.digits))
@@ -434,7 +438,11 @@ def _render_csv(payload: dict, command: str) -> str:
 
 def _emit(payload: dict, command: str, fmt: str):
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # streamed in large blocks: one write per encoder chunk is slow
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+        while block := "".join(islice(chunks, 1 << 14)):
+            sys.stdout.write(block)
+        sys.stdout.write("\n")
     elif fmt == "table":
         print(_render_table(payload, command))
     else:
@@ -488,19 +496,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "digits", 0) > sys.int_info.default_max_str_digits:
-            raise _fail_invalid("digits", args.digits)
-        payload, code = args.func(args)
-        _emit(payload, args.command, args.format)
-    except InputError as exc:
-        if exc.payload is not None:
-            print(json.dumps(exc.payload, indent=2, sort_keys=True))
-        else:
-            print(str(exc), file=sys.stderr)
-        return exc.code
+        try:
+            if getattr(args, "digits", 0) > sys.int_info.default_max_str_digits:
+                raise _fail_invalid("digits", args.digits)
+            payload, code = args.func(args)
+            _emit(payload, args.command, args.format)
+        except InputError as exc:
+            if exc.payload is not None:
+                print(json.dumps(exc.payload, indent=2, sort_keys=True))
+            else:
+                print(str(exc), file=sys.stderr)
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: devnull takes the flush at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     return code
 
 

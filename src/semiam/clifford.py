@@ -16,7 +16,7 @@ from math import lcm
 
 from .diagonal import DiagonalTensor, L1Vector, convolve, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
-from .moebius import mobius_table
+from .moebius import mobius_table, outer_product_sum
 from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 
@@ -348,32 +348,20 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
     The copy of x in block G_e is x' = sum over f <= e of
     mu(f, e) delta_{phi_{e,f}(x)}, with mu the skeleton's Moebius function,
     and D = sum over e of |G_e|^-1 sum over x in G_e of x' (x) (x^-1)'.
-    L*D is accumulated in ints, L = lcm |G_e|; with trivial blocks this is
-    diagonal_via_mobius.
+    L*D is accumulated in ints, L = lcm |G_e|, by the outer-product sum
+    that diagonal_via_mobius runs with trivial blocks.
     """
-    skel = g.skeleton
-    mu = mobius_table(skel)
-    n = g.n
+    columns = mobius_table(g.skeleton).columns
     den = lcm(*(group.order for group in g.groups))
-    scaled = [[0] * n for _ in range(n)]
-    for e in range(skel.n):
-        group = g.groups[e]
-        below = [
-            (f, mu.value(f, e)) for f in range(skel.n) if skel.leq[f][e]
-        ]
+    terms = []
+    for e, group in enumerate(g.groups):
         # lifted[x]: the support of x' as (element id, coefficient) pairs
-        lifted = [
-            [(g.offset[f] + g._push(e, f, x), m) for f, m in below if m]
-            for x in range(group.order)
-        ]
-        weight = den // group.order
-        for x in range(group.order):
-            inverse = lifted[group.inverse(x)]
-            for a, ca in lifted[x]:
-                row = scaled[a]
-                for b, cb in inverse:
-                    row[b] += weight * ca * cb
-    return DiagonalTensor(g, [[Fraction(v, den) for v in row] for row in scaled])
+        support = [(f, m) for f, m in columns[e].items() if m]
+        lifted = [[(g.offset[f] + g._push(e, f, x), m) for f, m in support]
+                  for x in range(group.order)]
+        terms += [(den // group.order, lifted[x], lifted[group.inverse(x)])
+                  for x in range(group.order)]
+    return DiagonalTensor(g, outer_product_sum(g.n, terms), den)
 
 
 def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
@@ -458,13 +446,12 @@ def collapse(d: DiagonalTensor) -> DiagonalTensor:
     if not isinstance(g, CliffordSemigroup):
         raise TypeError("collapse expects a diagonal over a Clifford semigroup")
     skel = g.skeleton
-    entries = [[Fraction(0)] * skel.n for _ in range(skel.n)]
-    for x in range(g.n):
-        sx = g.block_of[x]
-        row = d.entries[x]
-        for y in range(g.n):
-            entries[sx][g.block_of[y]] += row[y]
-    return DiagonalTensor(skel, entries)
+    rows = [[0] * skel.n for _ in range(skel.n)]
+    for x, row in enumerate(d.rows):
+        target = rows[g.block_of[x]]
+        for y, v in enumerate(row):
+            target[g.block_of[y]] += v
+    return DiagonalTensor(skel, rows, d.den)
 
 
 def from_json_dict(obj):

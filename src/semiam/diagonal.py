@@ -10,7 +10,7 @@ sum is the amenability constant of the algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exactlinalg import rat, rat_str
 from .semilattice import Semilattice, product
@@ -79,61 +79,62 @@ def unit(s: Semilattice) -> L1Vector:
     the maximal elements; the result convolves as an identity even when the
     semilattice has no maximum.
     """
-    coeffs = [None] * s.n
-    for k in reversed(range(s.n)):
-        p = s.canonical_perm[k]
-        acc = Fraction(1)
-        for t in s.strictly_above[p]:
-            acc -= coeffs[t]
-        coeffs[p] = acc
+    coeffs = [0] * s.n
+    for p in reversed(s.canonical_perm):
+        coeffs[p] = 1 - sum(coeffs[t] for t in s.strictly_above[p])
     return L1Vector(s, coeffs)
 
 
 class DiagonalTensor:
-    """A diagonal, stored as a matrix over base-element indices."""
+    """A diagonal, stored as an int matrix over one positive denominator.
 
-    def __init__(self, base, entries):
-        self.base = base
-        self.entries = tuple(tuple(rat(v) for v in row) for row in entries)
-        if len(self.entries) != base.n or any(
-            len(row) != base.n for row in self.entries
-        ):
+    Entry (g, h) is rows[g][h] / den, in lowest terms: den is the least
+    common denominator of the entries.  The constructor takes ints or
+    rationals, with an optional common denominator den for all of them.
+    """
+
+    def __init__(self, base, entries, den=1):
+        rows = [list(row) for row in entries]
+        if len(rows) != base.n or any(len(row) != base.n for row in rows):
             raise ValueError("entry matrix must be n x n over the base")
+        if type(den) is not int or den < 1:
+            raise ValueError("den must be a positive int")
+        if not all(type(v) is int for row in rows for v in row):
+            values = [[rat(v) for v in row] for row in rows]
+            scale = lcm(*(v.denominator for row in values for v in row))
+            rows = [[v.numerator * (scale // v.denominator) for v in row]
+                    for row in values]
+            den *= scale
+        common = gcd(den, *(v for row in rows for v in row)) if den > 1 else 1
+        self.base = base
+        self.den = den // common
+        self.rows = tuple(tuple(v // common for v in row) for row in rows)
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    def scaled(self) -> tuple:
-        """(L, rows) with L the least common denominator of the entries and
-        rows the entries times L, as ints."""
-        den = lcm(*(v.denominator for row in self.entries for v in row))
-        rows = tuple(
-            tuple(v.numerator * (den // v.denominator) for v in row)
-            for row in self.entries
-        )
-        return den, rows
+    @property
+    def entries(self) -> tuple:
+        """The entries as Fractions, row by row."""
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.rows)
 
     def am(self) -> Fraction:
         """Amenability constant: the absolute sum of all entries."""
-        den, rows = self.scaled()
-        return Fraction(sum(abs(v) for row in rows for v in row), den)
+        return Fraction(sum(abs(v) for row in self.rows for v in row), self.den)
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.entries[g][h] == self.entries[h][g]
-            for g in range(self.n)
-            for h in range(g + 1, self.n)
-        )
+        return self.rows == tuple(zip(*self.rows))
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for row in self.entries for v in row)
+        return self.den == 1
 
     def row_sums(self) -> tuple:
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
+        return tuple(Fraction(sum(row), self.den) for row in self.rows)
 
     def __eq__(self, other):
-        return isinstance(other, DiagonalTensor) and self.entries == other.entries
+        return isinstance(other, DiagonalTensor) and (self.den, self.rows) == (
+            other.den, other.rows)
 
     def __repr__(self):
         return f"DiagonalTensor(n={self.n}, am={rat_str(self.am())})"
@@ -157,9 +158,9 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
     u = unit(s).coeffs
     top_level = s.height
     n_max = sum(1 for x in range(n) if s.level[x] == top_level)
-    d = [[Fraction(0)] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]
     for k in range(n - n_max, n):
-        d[k][k] = Fraction(1)
+        d[k][k] = 1
     above_pos = [
         tuple(pos[t] for t in s.strictly_above[x]) for x in range(n)
     ]
@@ -168,15 +169,15 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
         for j in range(n - 1, c, -1):
             q = perm[j]
             if s.leq[p][q]:
-                d[c][j] = -sum((d[k][j] for k in above_pos[p]), Fraction(0))
-                d[j][c] = -sum((d[j][k] for k in above_pos[p]), Fraction(0))
+                d[c][j] = -sum(d[k][j] for k in above_pos[p])
+                d[j][c] = -sum(d[j][k] for k in above_pos[p])
             else:
                 # q is never below p here: lower level comes first
-                d[c][j] = -sum((d[c][k] for k in above_pos[q]), Fraction(0))
-                d[j][c] = -sum((d[k][c] for k in above_pos[q]), Fraction(0))
+                d[c][j] = -sum(d[c][k] for k in above_pos[q])
+                d[j][c] = -sum(d[k][c] for k in above_pos[q])
         # s*t = p forces s >= p and t >= p, so positions from c onward
         # cover every contributing pair
-        acc = u[p]
+        acc = int(u[p])
         for i in range(c, n):
             row = d[i]
             meets = s.table[perm[i]]
@@ -192,84 +193,55 @@ def verify_diagonal(d: DiagonalTensor, u: L1Vector):
     """Check the two diagonal conditions; return (True, None) or a witness.
 
     Conditions: m(D) = u, and delta_q . D = D . delta_q for every basis
-    element q.  The witness names the first failing equation.
+    element q.  The witness names the first failing equation.  Everything
+    runs on the int matrix den*D; m(den*D) = den*u is compared by
+    cross-multiplying.
 
-    Acceptance is decided in integers on the base's generating set alone:
-    if q and r commute with D, so does qr.  Only a tensor that fails there
-    takes the full equation walk, which names the witness.
+    Acceptance checks centrality on the base's generating set alone: if q
+    and r commute with D, so does qr.  Only a tensor that fails there walks
+    every q, which names the witness.
     """
-    if _holds_on_generators(d, u):
-        return True, None
-    return _first_failing_equation(d, u)
-
-
-def _holds_on_generators(d: DiagonalTensor, u: L1Vector) -> bool:
-    """Both conditions on the integer matrix L*D, centrality only against
-    base.generating_set(); m(L*D) = L*u is compared by cross-multiplying."""
     base = d.base
-    n = base.n
-    den, rows = d.scaled()
-    moment = [0] * n
-    for g in range(n):
-        row = rows[g]
-        for h in range(n):
-            moment[base.mul(g, h)] += row[h]
-    if any(
-        m * c.denominator != c.numerator * den
-        for m, c in zip(moment, u.coeffs)
-    ):
-        return False
-    for q in base.generating_set():
-        image = [base.mul(q, x) for x in range(n)]
-        left = [[0] * n for _ in range(n)]
-        for x in range(n):
-            target = left[image[x]]
-            for h, v in enumerate(rows[x]):
-                target[h] += v
-        for g in range(n):
-            right = [0] * n
-            for y, v in enumerate(rows[g]):
-                right[image[y]] += v
-            if right != left[g]:
-                return False
-    return True
-
-
-def _first_failing_equation(d: DiagonalTensor, u: L1Vector):
-    base = d.base
-    n = base.n
-    moment = [Fraction(0)] * n
-    for g in range(n):
-        row = d.entries[g]
-        for h in range(n):
-            moment[base.mul(g, h)] += row[h]
-    for r in range(n):
-        if moment[r] != u.coeffs[r]:
+    moment = [0] * base.n
+    for g, row in enumerate(d.rows):
+        for h, v in enumerate(row):
+            moment[base.mul(g, h)] += v
+    for r, c in enumerate(u.coeffs):
+        if moment[r] * c.denominator != c.numerator * d.den:
             return False, {
                 "kind": "moment",
                 "element": r,
-                "lhs": moment[r],
-                "rhs": u.coeffs[r],
+                "lhs": Fraction(moment[r], d.den),
+                "rhs": c,
             }
-    pre = [[[] for _ in range(n)] for _ in range(n)]
-    for q in range(n):
-        for x in range(n):
-            pre[q][base.mul(q, x)].append(x)
-    for q in range(n):
-        pq = pre[q]
-        for g in range(n):
-            for h in range(n):
-                lhs = sum((d.entries[x][h] for x in pq[g]), Fraction(0))
-                rhs = sum((d.entries[g][x] for x in pq[h]), Fraction(0))
-                if lhs != rhs:
-                    return False, {
-                        "kind": "centrality",
-                        "q": q,
-                        "pair": (g, h),
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-    return True, None
+    if all(_noncentral_pair(d, q) is None for q in base.generating_set()):
+        return True, None
+    q, (g, h, lhs, rhs) = next(
+        (q, found) for q in range(base.n) if (found := _noncentral_pair(d, q))
+    )
+    return False, {"kind": "centrality", "q": q, "pair": (g, h),
+                   "lhs": lhs, "rhs": rhs}
+
+
+def _noncentral_pair(d: DiagonalTensor, q: int):
+    """The first (g, h, lhs, rhs), g then h ascending, where entry (g, h) of
+    delta_q . D (lhs) differs from that of D . delta_q (rhs); else None."""
+    base = d.base
+    n = base.n
+    image = [base.mul(q, x) for x in range(n)]
+    left = [[0] * n for _ in range(n)]
+    for x, row in enumerate(d.rows):
+        target = left[image[x]]
+        for h, v in enumerate(row):
+            target[h] += v
+    for g, row in enumerate(d.rows):
+        right = [0] * n
+        for y, v in enumerate(row):
+            right[image[y]] += v
+        if right != left[g]:
+            h = next(h for h in range(n) if right[h] != left[g][h])
+            return g, h, Fraction(left[g][h], d.den), Fraction(right[h], d.den)
+    return None
 
 
 def tensor_diagonal(da: DiagonalTensor, db: DiagonalTensor) -> DiagonalTensor:
@@ -283,15 +255,14 @@ def tensor_diagonal(da: DiagonalTensor, db: DiagonalTensor) -> DiagonalTensor:
     base = product(da.base, db.base)
     nb = db.n
     n = base.n
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for g1 in range(da.n):
-        for h1 in range(da.n):
-            v1 = da.entries[g1][h1]
+    rows = [[0] * n for _ in range(n)]
+    for g1, row1 in enumerate(da.rows):
+        for h1, v1 in enumerate(row1):
             if not v1:
                 continue
-            for g2 in range(nb):
-                for h2 in range(nb):
-                    v2 = db.entries[g2][h2]
+            for g2, row2 in enumerate(db.rows):
+                target = rows[g1 * nb + g2]
+                for h2, v2 in enumerate(row2):
                     if v2:
-                        entries[g1 * nb + g2][h1 * nb + h2] = v1 * v2
-    return DiagonalTensor(base, entries)
+                        target[h1 * nb + h2] = v1 * v2
+    return DiagonalTensor(base, rows, da.den * db.den)

@@ -225,7 +225,7 @@ def spectrum(max_size: int) -> SpectrumReport:
         for idx, s in enumerate(reps):
             d1 = diagonal_recursive(s)
             d2 = diagonal_via_mobius(s)
-            if d1.entries != d2.entries:
+            if d1 != d2:
                 raise RuntimeError(
                     f"diagonal engines disagree on size {size} class {idx}"
                 )
@@ -235,7 +235,7 @@ def spectrum(max_size: int) -> SpectrumReport:
             even = True
             if unital:
                 for p in range(s.n):
-                    if p != top and d1.entries[p][p].numerator % 2:
+                    if p != top and d1.rows[p][p] % 2:
                         even = False
             rows.append(
                 SpectrumRow(
@@ -245,7 +245,7 @@ def spectrum(max_size: int) -> SpectrumReport:
                     am=am,
                     am_mod4=int(am) % 4 if am.denominator == 1 else -1,
                     unital=unital,
-                    d_min=d1.entries[s.minimum][s.minimum],
+                    d_min=Fraction(d1.rows[s.minimum][s.minimum], d1.den),
                     lower_bound_ok=am >= 2 * s.n - 1,
                     off_top_diagonal_even=even,
                 )

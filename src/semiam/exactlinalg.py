@@ -1,7 +1,7 @@
 """Exact rational scalars and sparse exact linear solving.
 
-Every other module computes on top of this one; no floats appear anywhere.
-Scalars are stdlib Fractions (already reduced, positive denominator).  The
+No floats appear anywhere.  The diagonal engines compute in ints; scalars
+returned are stdlib Fractions (already reduced, positive denominator).  The
 sparse eliminator behind the Clifford solver oracle reports unsolvable or
 underdetermined systems with a witness instead of guessing.
 """

@@ -16,37 +16,37 @@ from .semilattice import Semilattice
 
 
 class MoebiusTable:
-    """mu(t, s) for all comparable pairs t <= s of one semilattice."""
+    """mu(t, s) for all comparable pairs t <= s of one semilattice.
+
+    columns[s] maps every t <= s, zeros included, to the int mu(t, s).
+    """
 
     def __init__(self, base: Semilattice):
         self.base = base
-        mu = {}
-        # fill intervals bottom-up in the canonical order so that every
-        # mu(t, r) with r < s is ready when s is reached
-        for t in range(base.n):
-            mu[(t, t)] = 1
-        for s in base.canonical_perm:
-            for t in range(base.n):
-                if t == s or not base.leq[t][s]:
-                    continue
-                acc = 0
-                for r in range(base.n):
-                    if base.leq[t][r] and base.leq[r][s] and r != s:
-                        acc += mu[(t, r)]
-                mu[(t, s)] = -acc
-        self.mu = mu
+        columns = []
+        for s in range(base.n):
+            # mu(t, s) = -sum of mu(r, s) over t < r <= s; reversed
+            # canonical order reaches every such r before t
+            column = {s: 1}
+            for t in reversed(base.canonical_perm):
+                if t != s and base.leq[t][s]:
+                    column[t] = -sum(column[r] for r in base.strictly_above[t]
+                                     if r in column)
+            columns.append(column)
+        self.columns = tuple(columns)
 
     def value(self, t: int, s: int) -> int:
         """mu(t, s); raises KeyError when t is not below s."""
-        return self.mu[(t, s)]
+        return self.columns[s][t]
 
     def extended(self, t: int, s: int) -> int:
         """mu~(t, s): the Moebius value for t <= s and 0 otherwise."""
-        return self.mu.get((t, s), 0)
+        return self.columns[s].get(t, 0)
 
     def pairs(self):
         """All (t, s, mu) triples, sorted."""
-        return sorted((t, s, v) for (t, s), v in self.mu.items())
+        return sorted((t, s, v) for s, column in enumerate(self.columns)
+                      for t, v in column.items())
 
 
 def mobius_table(base: Semilattice) -> MoebiusTable:
@@ -83,19 +83,23 @@ def schutzenberger_inverse(values, base: Semilattice) -> L1Vector:
     return L1Vector(base, coeffs)
 
 
+def outer_product_sum(n: int, terms) -> list:
+    """The n x n int matrix sum of w * a (x) b over the (w, a, b) in terms,
+    with a and b sparse vectors given as (index, coefficient) pairs."""
+    rows = [[0] * n for _ in range(n)]
+    for weight, left, right in terms:
+        for a, ca in left:
+            row = rows[a]
+            wa = weight * ca
+            for b, cb in right:
+                row[b] += wa * cb
+    return rows
+
+
 def diagonal_via_mobius(base: Semilattice) -> DiagonalTensor:
-    """d(s,t) = sum over r of mu~(s,r) mu~(t,r)."""
-    table = mobius_table(base)
-    n = base.n
-    rows = []
-    for s in range(n):
-        mu_s = [table.extended(s, r) for r in range(n)]
-        rows.append(mu_s)
-    entries = [
-        [
-            Fraction(sum(rows[s][r] * rows[t][r] for r in range(n)))
-            for t in range(n)
-        ]
-        for s in range(n)
-    ]
-    return DiagonalTensor(base, entries)
+    """d(s,t) = sum over r of mu~(s,r) mu~(t,r): one outer product per
+    Moebius column."""
+    supports = ([(t, m) for t, m in column.items() if m]
+                for column in mobius_table(base).columns)
+    rows = outer_product_sum(base.n, ((1, c, c) for c in supports))
+    return DiagonalTensor(base, rows)

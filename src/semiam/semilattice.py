@@ -167,8 +167,15 @@ class Semilattice:
         return self.table[s][t]
 
     def generating_set(self) -> tuple:
-        """Every element: a generating set, shared with CliffordSemigroup."""
-        return tuple(range(self.n))
+        """The meet-irreducibles: elements with at most one upper cover.
+
+        An element with two upper covers is their meet, so every element is
+        a meet of these.  Shared protocol with CliffordSemigroup.
+        """
+        upper_covers = [0] * self.n
+        for s, _ in self.hasse:
+            upper_covers[s] += 1
+        return tuple(s for s in range(self.n) if upper_covers[s] <= 1)
 
     def le(self, s: int, t: int) -> bool:
         return self.leq[s][t]
@@ -250,32 +257,26 @@ def from_hasse(n: int, covers, labels=None):
             edges.append((s, t))
     if violations:
         return ValidationReport(False, violations)
-    # reflexive-transitive closure, watching for cycles
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    # down-sets as bitmasks, closed transitively; watch for cycles
+    down = [1 << i for i in range(n)]
     for s, t in edges:
-        leq[s][t] = True
+        down[t] |= 1 << s
     for k in range(n):
         for i in range(n):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+            if down[i] >> k & 1:
+                down[i] |= down[k]
     for i in range(n):
         for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
+            if down[j] >> i & 1 and down[i] >> j & 1:
                 violations.append(Violation("cycle", (i, j)))
     if violations:
         return ValidationReport(False, violations)
+    # the meet of s and t is the element whose down-set is their overlap
+    by_down = {mask: m for m, mask in enumerate(down)}
     table = [[0] * n for _ in range(n)]
     for s in range(n):
         for t in range(s, n):
-            lower = [r for r in range(n) if leq[r][s] and leq[r][t]]
-            best = None
-            for m in lower:
-                if all(leq[r][m] for r in lower):
-                    best = m
-                    break
+            best = by_down.get(down[s] & down[t])
             if best is None:
                 violations.append(Violation("meet", (s, t)))
             else:

@@ -482,3 +482,30 @@ def test_console_script_installed(tmp_path):
     installed = shutil.which("semiam")
     if installed is not None:
         _check_command([installed], tmp_path)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--max-size", "7"], ["am", SIX_JSON], ["validate", '{"n": 0}']],
+    ids=["spectrum", "am", "invalid"],
+)
+def test_closed_stdout_exits_4_quietly(argv, buffered):
+    # spectrum --max-size 7 writes about 278 KB, far more than a pipe
+    # holds, so the child is still writing when the reader goes away; the
+    # short outputs meet a pipe closed before the child starts writing
+    import_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(import_root), PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "semiam", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    if argv[0] == "spectrum":
+        assert len(child.stdout.read(120)) == 120
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == cli.EXIT_IO
+    assert err == b""

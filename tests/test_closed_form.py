@@ -23,7 +23,6 @@ from semiam.clifford import (
 from semiam.diagonal import (
     DiagonalTensor,
     L1Vector,
-    _first_failing_equation,
     diagonal_recursive,
     unit,
     verify_diagonal,
@@ -106,6 +105,45 @@ def test_am_family_closed_form():
         assert am_constant(make_g(n)) == 41 + Fraction(4 * (n - 1), n)
 
 
+def _first_failing_equation(d: DiagonalTensor, u: L1Vector):
+    """The reference: every equation in Fractions, in the order the witness
+    names them."""
+    base = d.base
+    n = base.n
+    moment = [Fraction(0)] * n
+    for g in range(n):
+        row = d.entries[g]
+        for h in range(n):
+            moment[base.mul(g, h)] += row[h]
+    for r in range(n):
+        if moment[r] != u.coeffs[r]:
+            return False, {
+                "kind": "moment",
+                "element": r,
+                "lhs": moment[r],
+                "rhs": u.coeffs[r],
+            }
+    pre = [[[] for _ in range(n)] for _ in range(n)]
+    for q in range(n):
+        for x in range(n):
+            pre[q][base.mul(q, x)].append(x)
+    for q in range(n):
+        pq = pre[q]
+        for g in range(n):
+            for h in range(n):
+                lhs = sum((d.entries[x][h] for x in pq[g]), Fraction(0))
+                rhs = sum((d.entries[g][x] for x in pq[h]), Fraction(0))
+                if lhs != rhs:
+                    return False, {
+                        "kind": "centrality",
+                        "q": q,
+                        "pair": (g, h),
+                        "lhs": lhs,
+                        "rhs": rhs,
+                    }
+    return True, None
+
+
 def _perturbed(d: DiagonalTensor, changes) -> DiagonalTensor:
     rows = [list(row) for row in d.entries]
     for (a, b), delta in changes.items():
@@ -185,10 +223,9 @@ def test_verifier_accepts_exactly_the_diagonal_on_semilattices():
 def test_am_sums_over_the_common_denominator():
     g = make_g(6)
     d = diagonal_closed_form(g)
-    den, rows = d.scaled()
-    assert den == 6
-    assert all(Fraction(v, den) == e for row, erow in zip(rows, d.entries)
-               for v, e in zip(row, erow))
+    assert d.den == 6
+    assert d.entries == diagonal_solve(g).entries
+    assert d.am() == Fraction(sum(abs(v) for row in d.rows for v in row), 6)
     assert d.am() == sum((abs(v) for row in d.entries for v in row), Fraction(0))
 
 

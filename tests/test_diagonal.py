@@ -33,6 +33,32 @@ def frozen(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
+def test_tensor_is_stored_in_lowest_terms():
+    d = DiagonalTensor(chain(0), [[Fraction(2, 4)]])
+    assert d.den == 2
+    assert d.rows == ((1,),)
+    assert d.entries == ((Fraction(1, 2),),)
+
+
+def test_tensor_from_ints_over_a_denominator_equals_the_fractions():
+    ints = [[3, -2, 0], [1, 6, 4], [0, -9, 2]]
+    over_six = DiagonalTensor(flat(2), ints, den=6)
+    fractions = [[Fraction(v, 6) for v in row] for row in ints]
+    assert over_six == DiagonalTensor(flat(2), fractions)
+    assert over_six.den == 6
+    assert over_six.entries == tuple(map(tuple, fractions))
+    doubled = [[2 * v for v in row] for row in ints]
+    assert DiagonalTensor(flat(2), doubled, den=12) == over_six
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, None, object()])
+def test_tensor_rejects_non_rational_entries(bad):
+    with pytest.raises(TypeError):
+        DiagonalTensor(chain(0), [[bad]])
+    with pytest.raises(TypeError):
+        DiagonalTensor(chain(1), [[2, -1], [bad, 1]])
+
+
 def test_convolve_point_masses():
     f2 = flat(2)
     d1 = L1Vector.point_mass(f2, 1)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import SIX_COVERS, SIX_LABELS, make_broom, make_six, make_tree
+from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
     Semilattice,
     ValidationReport,
@@ -141,6 +142,9 @@ def test_from_hasse_rejects_double_bottom_diamond():
     assert isinstance(report, ValidationReport)
     assert report.violations[0].axiom == "meet"
     assert report.violations[0].witness == (0, 1)
+    assert [(v.axiom, v.witness) for v in report.violations] == [
+        ("meet", (0, 1)), ("meet", (2, 3))
+    ]
     # adjoin a bottom: now only (2,3) stays meetless
     report = from_hasse(
         5, [(4, 0), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
@@ -148,6 +152,33 @@ def test_from_hasse_rejects_double_bottom_diamond():
     assert isinstance(report, ValidationReport)
     assert report.violations[0].axiom == "meet"
     assert report.violations[0].witness == (2, 3)
+
+
+def test_from_hasse_builds_a_long_chain():
+    s = from_hasse(150, [(i, i + 1) for i in range(149)])
+    assert isinstance(s, Semilattice)
+    assert s.table == chain(149).table
+
+
+def _meet_closure(s: Semilattice, gens) -> set:
+    closed = set(gens)
+    while True:
+        grown = closed | {s.meet(a, b) for a in closed for b in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def test_generating_set_is_the_meet_irreducibles():
+    for size in range(1, 7):
+        for s in enumerate_semilattices(size):
+            gens = s.generating_set()
+            assert _meet_closure(s, gens) == set(range(s.n))
+            upper_covers = [sum(1 for a, _ in s.hasse if a == x) for x in gens]
+            assert all(c <= 1 for c in upper_covers)
+    for k in range(6):
+        # the full set and the k sets missing one point
+        assert len(power_set(k).generating_set()) == k + 1
 
 
 def test_from_hasse_rejects_antichain_and_cycle():

@@ -438,7 +438,8 @@ def _render_csv(payload: dict, command: str) -> str:
 
 def _emit(payload: dict, command: str, fmt: str):
     if fmt == "json":
-        # streamed in large blocks: one write per encoder chunk is slow
+        # streamed in large blocks: under PYTHONUNBUFFERED json.dump would
+        # make one write system call per encoder chunk
         chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
         while block := "".join(islice(chunks, 1 << 14)):
             sys.stdout.write(block)

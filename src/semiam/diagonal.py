@@ -10,6 +10,7 @@ sum is the amenability constant of the algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .exactlinalg import rat, rat_str
@@ -114,7 +115,7 @@ class DiagonalTensor:
     def n(self) -> int:
         return self.base.n
 
-    @property
+    @cached_property
     def entries(self) -> tuple:
         """The entries as Fractions, row by row."""
         return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.rows)

@@ -39,10 +39,6 @@ class MoebiusTable:
         """mu(t, s); raises KeyError when t is not below s."""
         return self.columns[s][t]
 
-    def extended(self, t: int, s: int) -> int:
-        """mu~(t, s): the Moebius value for t <= s and 0 otherwise."""
-        return self.columns[s].get(t, 0)
-
     def pairs(self):
         """All (t, s, mu) triples, sorted."""
         return sorted((t, s, v) for s, column in enumerate(self.columns)

@@ -195,7 +195,7 @@ def test_inversion_and_verification_properties():
         for t in range(s.n):
             for r in range(s.n):
                 total = sum(
-                    mu.extended(t, x)
+                    mu.columns[x].get(t, 0)
                     for x in range(s.n)
                     if s.le(t, x) and s.le(x, r)
                 )

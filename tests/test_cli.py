@@ -493,18 +493,26 @@ def test_console_script_installed(tmp_path):
 def test_closed_stdout_exits_4_quietly(argv, buffered):
     # spectrum --max-size 7 writes about 278 KB, far more than a pipe
     # holds, so the child is still writing when the reader goes away; the
-    # short outputs meet a pipe closed before the child starts writing
+    # short outputs get a pipe whose read end is closed before the child
+    # starts, so they always meet a closed pipe
     import_root = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(import_root), PYTHONUNBUFFERED="1")
     if buffered:
         del env["PYTHONUNBUFFERED"]
+    if argv[0] == "spectrum":
+        stdout = subprocess.PIPE
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
     child = subprocess.Popen(
         [sys.executable, "-m", "semiam", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
     )
     if argv[0] == "spectrum":
         assert len(child.stdout.read(120)) == 120
-    child.stdout.close()
+        child.stdout.close()
+    else:
+        os.close(stdout)
     err = child.stderr.read()
     child.stderr.close()
     assert child.wait(timeout=60) == cli.EXIT_IO

@@ -245,12 +245,22 @@ def cmd_clifford(args) -> tuple:
     return payload, EXIT_OK
 
 
+def _require_positive(**bounds):
+    # an empty family would pass every check vacuously
+    for name, value in bounds.items():
+        if value < 1:
+            raise _fail_invalid(name, value)
+
+
 def cmd_spectrum(args) -> tuple:
+    _require_positive(max_size=args.max_size)
     report = enumeration.spectrum(args.max_size)
     return report.to_json_dict(), EXIT_OK
 
 
 def cmd_gap_search(args) -> tuple:
+    _require_positive(skeleton_max_size=args.skeleton_max_size,
+                      max_cyclic_order=args.max_cyclic_order)
     try:
         report = enumeration.gap_search(
             skeleton_max_size=args.skeleton_max_size,

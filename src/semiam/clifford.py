@@ -17,7 +17,13 @@ from math import lcm
 from .diagonal import DiagonalTensor, L1Vector, convolve, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
 from .moebius import mobius_table, outer_product_sum
-from .semilattice import Semilattice, ValidationReport, Violation, _is_int
+from .semilattice import (
+    Semilattice,
+    ValidationReport,
+    Violation,
+    _first_nonassociative,
+    _is_int,
+)
 
 
 class NotUnitalError(RuntimeError):
@@ -177,23 +183,28 @@ class CliffordSemigroup:
         self.member_of = tuple(member_of)
         self.labels = tuple(labels)
         self.canonical_perm = tuple(range(n))
+        # _images[(s, r)][x] = phi_{s,r}(x), the identity map for s = r
+        self._images = {(s, r): [hom.apply(x) for x in range(self.groups[s].order)]
+                        for (s, r), hom in self.homs.items()}
+        self._images.update(((s, s), range(g.order)) for s, g in enumerate(self.groups))
+        # sums[r][a][b] = id of a + b in block r
+        sums = [[[offset[r] + g.add(a, b) for b in range(g.order)]
+                 for a in range(g.order)] for r, g in enumerate(self.groups)]
+        blocks = skeleton.canonical_perm
         table = []
         for x in range(n):
             sx, gx = self.block_of[x], self.member_of[x]
+            meets = skeleton.table[sx]
             row = []
-            for y in range(n):
-                sy, gy = self.block_of[y], self.member_of[y]
-                r = skeleton.table[sx][sy]
-                gx_down = self._push(sx, r, gx)
-                gy_down = self._push(sy, r, gy)
-                row.append(offset[r] + self.groups[r].add(gx_down, gy_down))
+            for sy in blocks:
+                r = meets[sy]
+                row_sum = sums[r][self._images[(sx, r)][gx]]
+                row += map(row_sum.__getitem__, self._images[(sy, r)])
             table.append(tuple(row))
         self.table = tuple(table)
 
     def _push(self, s: int, r: int, g: int) -> int:
-        if s == r:
-            return g
-        return self.homs[(s, r)].apply(g)
+        return self._images[(s, r)][g]
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -262,25 +273,17 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     semigroup = CliffordSemigroup(skeleton, gs, full)
     n = semigroup.n
     table = semigroup.table
-    for x in range(n):
-        for y in range(x + 1, n):
-            if table[x][y] != table[y][x]:
-                violations.append(Violation("commutative", (x, y)))
-                break
-        if violations:
+    # the first row that differs from its column differs only to the right
+    # of the diagonal: a mismatch to the left shows in an earlier row
+    for x, column in enumerate(zip(*table)):
+        if table[x] != column:
+            y = next(y for y in range(x + 1, n) if table[x][y] != column[y])
+            violations.append(Violation("commutative", (x, y)))
             break
     if not violations:
-        for x in range(n):
-            tx = table[x]
-            for y in range(n):
-                txy = table[x][y]
-                ty = table[y]
-                if any(table[txy][z] != tx[ty[z]] for z in range(n)):
-                    z = next(z for z in range(n) if table[txy][z] != tx[ty[z]])
-                    violations.append(Violation("associative", (x, y, z)))
-                    break
-            if violations:
-                break
+        witness = _first_nonassociative(table)
+        if witness is not None:
+            violations.append(Violation("associative", witness))
     if not violations:
         idem = sorted(semigroup.offset.values())
         actual = [x for x in range(n) if table[x][x] == x]

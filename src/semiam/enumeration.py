@@ -9,7 +9,7 @@ serves as the oracle at the smallest sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
 
@@ -171,17 +171,11 @@ def enumerate_semilattices(n: int) -> list:
     return [Semilattice(t) for t in enumerate_by_extension(n)]
 
 
-@dataclass
-class SpectrumRow:
-    size: int
-    index: int
-    table: tuple
-    am: Fraction
-    am_mod4: int
-    unital: bool
-    d_min: Fraction
-    lower_bound_ok: bool
-    off_top_diagonal_even: bool
+class SpectrumRow(namedtuple(
+    "SpectrumRow",
+    "size index table am am_mod4 unital d_min lower_bound_ok off_top_diagonal_even",
+)):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -197,11 +191,8 @@ class SpectrumRow:
         }
 
 
-@dataclass
-class SpectrumReport:
-    max_size: int
-    counts: tuple
-    rows: list
+class SpectrumReport(namedtuple("SpectrumReport", "max_size counts rows")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -253,13 +244,16 @@ def spectrum(max_size: int) -> SpectrumReport:
     return SpectrumReport(max_size, tuple(counts), rows)
 
 
-@dataclass
 class GapInstance:
-    skeleton_table: tuple
-    orders: tuple
-    homs: tuple  # ((s, t, gen_images), ...) for all strict pairs
-    size: int
-    am: Fraction | None = None
+    """One search instance; gap_search sets am once it is solved."""
+
+    def __init__(self, skeleton_table: tuple, orders: tuple, homs: tuple,
+                 size: int, am: Fraction | None = None):
+        self.skeleton_table = skeleton_table
+        self.orders = orders
+        self.homs = homs  # ((s, t, gen_images), ...) for all strict pairs
+        self.size = size
+        self.am = am
 
     def key(self):
         return (self.skeleton_table, self.orders, self.homs)
@@ -277,17 +271,15 @@ class GapInstance:
         }
 
 
-@dataclass
 class GapReport:
-    skeleton_max_size: int
-    max_cyclic_order: int
-    instance_count: int
-    am_counts: list  # [(Fraction, count)] sorted by value
-    violations: list  # GapInstances with 5 < am < 9
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        self.ok = not self.violations
+    def __init__(self, skeleton_max_size: int, max_cyclic_order: int,
+                 instance_count: int, am_counts: list, violations: list):
+        self.skeleton_max_size = skeleton_max_size
+        self.max_cyclic_order = max_cyclic_order
+        self.instance_count = instance_count
+        self.am_counts = am_counts  # [(Fraction, count)] sorted by value
+        self.violations = violations  # GapInstances with 5 < am < 9
+        self.ok = not violations
 
     def min_am_beyond(self, threshold=5) -> Fraction | None:
         beyond = [v for v, _ in self.am_counts if v > threshold]
@@ -402,8 +394,7 @@ def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     return instances
 
 
-def _solve_gap_instance(inst: GapInstance) -> Fraction:
-    skel = Semilattice(inst.skeleton_table)
+def _solve_gap_instance(inst: GapInstance, skel: Semilattice) -> Fraction:
     groups = [FiniteAbelianGroup([k]) for k in inst.orders]
     hom_spec = {(s, t): imgs for (s, t, imgs) in inst.homs}
     built = build_clifford(skel, groups, hom_spec)
@@ -421,10 +412,14 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     from the closed form and is verified before its constant is counted.
     """
     instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
+    skeletons: dict = {}
     counts: dict = {}
     violations = []
     for inst in instances:
-        am = _solve_gap_instance(inst)
+        table = inst.skeleton_table
+        if table not in skeletons:
+            skeletons[table] = Semilattice(table)
+        am = _solve_gap_instance(inst, skeletons[table])
         inst.am = am
         counts[am] = counts.get(am, 0) + 1
         if Fraction(5) < am < Fraction(9):

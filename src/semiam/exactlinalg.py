@@ -8,7 +8,7 @@ underdetermined systems with a witness instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -50,8 +50,10 @@ def rat_decimal(value, digits: int = 6) -> str:
     return f"{sign}{whole}.{str(frac_digits).zfill(digits)}"
 
 
-@dataclass
-class LinearSolution:
+class LinearSolution(namedtuple(
+    "LinearSolution", "status vector inconsistent_row free_column",
+    defaults=(None, None, None),
+)):
     """Outcome of an exact linear solve.
 
     status is 'unique' (vector set), 'none' (inconsistent_row is the tag of
@@ -59,10 +61,7 @@ class LinearSolution:
     least undetermined unknown).
     """
 
-    status: str
-    vector: tuple | None = None
-    inconsistent_row: object | None = None
-    free_column: int | None = None
+    __slots__ = ()
 
 
 class SparseEliminator:

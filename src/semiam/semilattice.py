@@ -8,20 +8,15 @@ grading and a canonical element order are all derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product as iproduct
+from operator import itemgetter
+
+Violation = namedtuple("Violation", "axiom witness")
 
 
-@dataclass
-class Violation:
-    axiom: str
-    witness: tuple
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list
+class ValidationReport(namedtuple("ValidationReport", "ok violations")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -67,22 +62,31 @@ def check_table(table) -> ValidationReport:
                 violations.append(Violation("commutative", (s, t)))
     if violations:
         return ValidationReport(False, violations)
-    for s in range(n):
-        for t in range(n):
-            st = table[s][t]
-            row_st = table[st]
-            row_t = table[t]
-            for r in range(n):
-                if row_st[r] != table[s][row_t[r]]:
-                    violations.append(Violation("associative", (s, t, r)))
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    witness = _first_nonassociative(table)
+    if witness is not None:
+        violations.append(Violation("associative", witness))
     return ValidationReport(not violations, violations)
+
+
+def _first_nonassociative(rows):
+    """The first (s, t, r), in s-then-t-then-r order, with (st)r != s(tr),
+    or None when the table is associative.
+
+    rows is a square table with entries in range.  Row st is compared with
+    row s read through row t as whole tuples; only a failing (s, t) walks r
+    to name the witness.
+    """
+    n = len(rows)
+    if n == 1:  # 0*0 = 0; itemgetter of one index would return a scalar
+        return None
+    rows = [tuple(row) for row in rows]
+    through = [itemgetter(*row) for row in rows]
+    for s, row_s in enumerate(rows):
+        for t, st in enumerate(row_s):
+            lhs, rhs = rows[st], through[t](row_s)
+            if lhs != rhs:
+                return s, t, next(r for r in range(n) if lhs[r] != rhs[r])
+    return None
 
 
 class Semilattice:

@@ -3,8 +3,12 @@ name.  Renaming or deleting one must fail here, not only in a traced run."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import semiam
 from semiam.moebius import mobius_table
 from semiam.semilattice import chain
 
@@ -36,3 +40,23 @@ def test_every_traced_name_resolves():
 def test_mobius_table_result_has_pairs():
     # the tracer counts Moebius nonzeros through .pairs()
     assert [v for _, _, v in mobius_table(chain(1)).pairs()] == [1, -1, 1]
+
+
+def test_cli_import_loads_every_traced_module_and_no_dataclasses():
+    # Tracer.installed() looks each TRACED module up in sys.modules, and
+    # dataclasses (with inspect, ast, dis) would cost every CLI start
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(semiam.__file__).parents[1])!r})\n"
+        "import semiam.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(json.loads(result.stdout))
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+    for span, module_name, _ in load_spans().TRACED:
+        assert module_name in loaded, span

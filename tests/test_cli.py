@@ -275,6 +275,41 @@ def test_gap_search_instance_limit_exits_2(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv, axiom, value",
+    [
+        (["spectrum", "--max-size", "0"], "max_size", 0),
+        (["spectrum", "--max-size", "-3"], "max_size", -3),
+        (["gap-search", "--skeleton-max-size", "0"], "skeleton_max_size", 0),
+        (["gap-search", "--skeleton-max-size", "-2"], "skeleton_max_size", -2),
+        (["gap-search", "--max-cyclic-order", "0"], "max_cyclic_order", 0),
+        (["gap-search", "--max-cyclic-order", "-1", "--format", "csv"],
+         "max_cyclic_order", -1),
+    ],
+)
+def test_empty_search_families_exit_2(capsys, argv, axiom, value):
+    # an empty family would report ok on checks that never ran
+    code, payload, err = run_json(capsys, *argv)
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": axiom, "witness": [value]}],
+    }
+    assert err == ""
+
+
+def test_smallest_search_families_run(capsys):
+    code, payload, _ = run_json(capsys, "spectrum", "--max-size", "1")
+    assert code == 0
+    assert payload["counts"] == [1]
+    code, payload, _ = run_json(
+        capsys, "gap-search", "--skeleton-max-size", "1", "--max-cyclic-order", "1"
+    )
+    assert code == 0
+    assert payload["instances"] == 1
+    assert payload["am_counts"] == [["1", 1]]
+
+
 def _chain_z2_doc(**changes):
     doc = {
         "skeleton": {"n": 2, "hasse": [[0, 1]]},

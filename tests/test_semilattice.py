@@ -7,6 +7,7 @@ from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
     Semilattice,
     ValidationReport,
+    _first_nonassociative,
     are_isomorphic,
     chain,
     check_table,
@@ -72,6 +73,102 @@ def test_validate_range_and_shape():
 def test_check_table_matches_validate():
     assert check_table([[0, 0], [0, 1]]).ok
     assert not check_table([[1, 0], [0, 1]]).ok
+
+
+def reference_first_nonassociative(table):
+    """The reference: the cell-by-cell scan check_table used to run."""
+    n = len(table)
+    for s in range(n):
+        for t in range(n):
+            st = table[s][t]
+            for r in range(n):
+                if table[st][r] != table[s][table[t][r]]:
+                    return (s, t, r)
+    return None
+
+
+def reference_check_table(table):
+    """check_table as it was before the scans compared whole rows, with
+    violations as (axiom, witness) pairs."""
+    n = len(table)
+    if n == 0:
+        return False, [("shape", ())]
+    violations = [("shape", (i,)) for i, row in enumerate(table) if len(row) != n]
+    if violations:
+        return False, violations
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                violations.append(("range", (i, j)))
+    if violations:
+        return False, violations
+    for s in range(n):
+        if table[s][s] != s:
+            violations.append(("idempotent", (s,)))
+    for s in range(n):
+        for t in range(s + 1, n):
+            if table[s][t] != table[t][s]:
+                violations.append(("commutative", (s, t)))
+    if violations:
+        return False, violations
+    witness = reference_first_nonassociative(table)
+    if witness is not None:
+        violations.append(("associative", witness))
+    return not violations, violations
+
+
+def random_family_table(rng, n):
+    """Meet table of a random intersection-closed family of n bitmasks."""
+    ground = max(2, n.bit_length() + 1)
+    family = {0}
+    while len(family) < n:
+        mask = rng.getrandbits(ground)
+        grown = family | {mask} | {mask & m for m in family}
+        if len(grown) <= n:
+            family = grown
+    masks = sorted(family)
+    index = {m: i for i, m in enumerate(masks)}
+    return [[index[a & b] for b in masks] for a in masks]
+
+
+def test_check_table_matches_the_cell_by_cell_reference():
+    rng = random.Random(2024)
+    rejects = 0
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        table = random_family_table(rng, n)
+        for _ in range(rng.randint(1, 2) if n > 1 else 0):
+            s, t = rng.sample(range(n), 2)
+            table[s][t] = table[t][s] = rng.randrange(n)
+        expected = reference_check_table(table)
+        report = check_table(table)
+        assert (report.ok, [(v.axiom, v.witness) for v in report.violations]) == expected
+        rejects += any(axiom == "associative" for axiom, _ in expected[1])
+    assert rejects > 1000
+
+
+def test_first_nonassociative_names_the_first_witness():
+    # one element: the scalar that itemgetter gives for one index
+    assert _first_nonassociative([[0]]) is None
+    # (0*0)*1 = 1*1 = 0 but 0*(0*1) = 0*0 = 1
+    two = [[1, 0], [0, 0]]
+    assert _first_nonassociative(two) == reference_first_nonassociative(two) == (0, 0, 1)
+    # x*y = 1 - x: (x*y)*z = x but x*(y*z) = 1 - x, for every triple
+    assert _first_nonassociative([[1, 1], [0, 0]]) == (0, 0, 0)
+    # left zero, x*y = x: associative without being commutative
+    assert _first_nonassociative([[s] * 12 for s in range(12)]) is None
+    twelve = [list(row) for row in chain(11).table]
+    assert _first_nonassociative(twelve) is None
+    rng = random.Random(12)
+    found = 0
+    for _ in range(200):
+        table = [list(row) for row in twelve]
+        table[rng.randrange(12)][rng.randrange(12)] = rng.randrange(12)
+        witness = reference_first_nonassociative(table)
+        assert _first_nonassociative(table) == witness
+        assert _first_nonassociative(tuple(map(tuple, table))) == witness
+        found += witness is not None
+    assert found > 100
 
 
 def test_chain_structure():

@@ -6,7 +6,6 @@ from .semilattice import (
     Semilattice,
     ValidationReport,
     Violation,
-    are_isomorphic,
     chain,
     check_table,
     flat,
@@ -18,10 +17,7 @@ from .semilattice import (
 )
 from .diagonal import (
     DiagonalTensor,
-    L1Vector,
-    convolve,
     diagonal_recursive,
-    tensor_diagonal,
     unit,
     verify_diagonal,
 )
@@ -29,8 +25,6 @@ from .moebius import (
     MoebiusTable,
     diagonal_via_mobius,
     mobius_table,
-    schutzenberger,
-    schutzenberger_inverse,
 )
 from .clifford import (
     CliffordSemigroup,
@@ -52,8 +46,6 @@ from .enumeration import (
     SpectrumReport,
     canonical_table,
     enumerate_by_extension,
-    enumerate_by_families,
-    enumerate_brute,
     enumerate_semilattices,
     gap_search,
     spectrum,

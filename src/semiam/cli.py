@@ -160,7 +160,7 @@ def _diagonal_payload(s: Semilattice, d: DiagonalTensor, method: str, digits: in
         "n": s.n,
         "perm": list(perm),
         "labels": [s.labels[x] for x in perm],
-        "unit": [rat_str(u.coeffs[x]) for x in perm],
+        "unit": [str(u[x]) for x in perm],
         "diagonal": _canonical_matrix_strings(d),
     }
     payload.update(_am_fields(am, digits))
@@ -195,7 +195,7 @@ def cmd_unit(args) -> tuple:
         "n": s.n,
         "perm": list(perm),
         "labels": [s.labels[x] for x in perm],
-        "unit": [rat_str(u.coeffs[x]) for x in perm],
+        "unit": [str(u[x]) for x in perm],
     }, EXIT_OK
 
 
@@ -235,7 +235,7 @@ def cmd_clifford(args) -> tuple:
             [g.offset[s] + i for i in range(g.groups[s].order)]
             for s in range(g.skeleton.n)
         ],
-        "unit": [rat_str(c) for c in u.coeffs],
+        "unit": [str(c) for c in u],
         "diagonal": _canonical_matrix_strings(d),
         "skeleton_am": rat_str(skel_am),
         "collapse_matches_skeleton": collapsed == skel_d,
@@ -510,8 +510,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
-            if getattr(args, "digits", 0) > sys.int_info.default_max_str_digits:
-                raise _fail_invalid("digits", args.digits)
+            digits = getattr(args, "digits", 0)
+            if not 0 <= digits <= sys.int_info.default_max_str_digits:
+                raise _fail_invalid("digits", digits)
             payload, code = args.func(args)
             _emit(payload, args.command, args.format)
         except InputError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .diagonal import DiagonalTensor, L1Vector, convolve, unit, verify_diagonal
+from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
 from .moebius import mobius_table, outer_product_sum
 from .semilattice import (
@@ -300,8 +300,9 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     return semigroup
 
 
-def unit_solve(g: CliffordSemigroup) -> L1Vector:
-    """Solve u * delta_x = delta_x for all x; the unit of the algebra."""
+def unit_solve(g: CliffordSemigroup) -> tuple:
+    """Solve u * delta_x = delta_x for all x; the unit of the algebra, as
+    the eliminator's exact values by element id."""
     n = g.n
     elim = SparseEliminator(n)
     for x in range(n):
@@ -317,31 +318,26 @@ def unit_solve(g: CliffordSemigroup) -> L1Vector:
     sol = elim.solve()
     if sol.status != "unique":
         raise NotUnitalError(f"algebra is not unital ({sol.status})")
-    u = L1Vector(g, sol.vector)
-    for x in range(n):
-        if convolve(u, L1Vector.point_mass(g, x)) != L1Vector.point_mass(g, x):
-            raise NotUnitalError(f"algebra is not unital (fails at element {x})")
-    return u
+    q = first_unit_failure(g, sol.vector, range(n))
+    if q is not None:
+        raise NotUnitalError(f"algebra is not unital (fails at element {q})")
+    return sol.vector
 
 
-def clifford_unit_from_skeleton(g: CliffordSemigroup) -> L1Vector:
-    """The unit lifted from the skeleton: skeleton unit mass on block identities.
+def clifford_unit_from_skeleton(g: CliffordSemigroup) -> tuple:
+    """The unit lifted from the skeleton: skeleton unit mass on block
+    identities, as ints by element id.
 
-    Checked in integers against g.generating_set(): u * delta_q = delta_q
-    for every generator q gives it for their products too.
+    Checked against g.generating_set(): u * delta_q = delta_q for every
+    generator q gives it for their products too.
     """
-    base_unit = unit(g.skeleton)
     coeffs = [0] * g.n
-    for s in range(g.skeleton.n):
-        coeffs[g.offset[s]] = int(base_unit.coeffs[s])
-    for q in g.generating_set():
-        image = [0] * g.n
-        for x, c in enumerate(coeffs):
-            if c:
-                image[g.mul(x, q)] += c
-        if any(v != (x == q) for x, v in enumerate(image)):
-            raise NotUnitalError(f"algebra is not unital (fails at element {q})")
-    return L1Vector(g, coeffs)
+    for s, c in enumerate(unit(g.skeleton)):
+        coeffs[g.offset[s]] = c
+    q = first_unit_failure(g, coeffs, g.generating_set())
+    if q is not None:
+        raise NotUnitalError(f"algebra is not unital (fails at element {q})")
+    return tuple(coeffs)
 
 
 def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
@@ -399,7 +395,7 @@ def diagonal_solve(g: CliffordSemigroup) -> DiagonalTensor:
             key = x * n + y
             moment_rows[row[y]][key] = moment_rows[row[y]].get(key, 0) + 1
     for r in range(n):
-        elim.add_row(moment_rows[r], u.coeffs[r], tag=("moment", r))
+        elim.add_row(moment_rows[r], u[r], tag=("moment", r))
     gens = list(g.generating_set())
     rest = [q for q in range(n) if q not in set(gens)]
     for q in gens + rest:

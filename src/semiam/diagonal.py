@@ -1,7 +1,8 @@
 """Diagonals of finite commutative semigroup convolution algebras.
 
 The algebra has one point mass per semigroup element and convolution
-delta_s * delta_t = delta_{st}.  A diagonal is an element D of the tensor
+delta_s * delta_t = delta_{st}; an element of it, such as the unit, is a
+coefficient tuple indexed by element id.  A diagonal is an element D of the tensor
 square with m(D) equal to the unit and x.D = D.x for every x; for the
 commutative semigroups handled here it is unique, and its absolute entry
 sum is the amenability constant of the algebra.
@@ -14,76 +15,37 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .exactlinalg import rat, rat_str
-from .semilattice import Semilattice, product
+from .semilattice import Semilattice
 
 
-class L1Vector:
-    """Element of the convolution algebra over a fixed base semigroup.
-
-    The base only needs .n and .mul(i, j); both Semilattice and
-    CliffordSemigroup qualify.
-    """
-
-    def __init__(self, base, coeffs):
-        coeffs = tuple(rat(c) for c in coeffs)
-        if len(coeffs) != base.n:
-            raise ValueError("coefficient count does not match the base")
-        self.base = base
-        self.coeffs = coeffs
-
-    @classmethod
-    def point_mass(cls, base, s: int) -> "L1Vector":
-        return cls(base, [1 if i == s else 0 for i in range(base.n)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, L1Vector)
-            and self.base.n == other.base.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "L1Vector") -> "L1Vector":
-        self._check_base(other)
-        return L1Vector(self.base, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def _check_base(self, other):
-        if self.base.n != other.base.n:
-            raise ValueError("mixed bases")
-
-    def __repr__(self):
-        parts = [
-            f"{rat_str(c)}*d[{i}]" for i, c in enumerate(self.coeffs) if c
-        ]
-        return "L1Vector(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def convolve(x: L1Vector, y: L1Vector) -> L1Vector:
-    x._check_base(y)
-    base = x.base
-    out = [Fraction(0)] * base.n
-    for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(y.coeffs):
-            if b:
-                out[base.mul(i, j)] += a * b
-    return L1Vector(base, out)
-
-
-def unit(s: Semilattice) -> L1Vector:
-    """The identity of the semilattice algebra.
+def unit(s: Semilattice) -> tuple:
+    """The identity of the semilattice algebra, as int coefficients by
+    element id.
 
     u(p) = 1 - sum of u(t) over t strictly above p, working downward from
-    the maximal elements; the result convolves as an identity even when the
+    the maximal elements; the result acts as an identity even when the
     semilattice has no maximum.
     """
     coeffs = [0] * s.n
     for p in reversed(s.canonical_perm):
         coeffs[p] = 1 - sum(coeffs[t] for t in s.strictly_above[p])
-    return L1Vector(s, coeffs)
+    return tuple(coeffs)
+
+
+def first_unit_failure(base, u, elements):
+    """The first q in elements with u * delta_q != delta_q, or None.
+
+    u is a coefficient tuple by element id over a commutative base.  If u
+    fixes a generating set, it fixes every product of generators too.
+    """
+    for q in elements:
+        image = [0] * base.n
+        for x, c in enumerate(u):
+            if c:
+                image[base.mul(x, q)] += c
+        if any(v != (x == q) for x, v in enumerate(image)):
+            return q
+    return None
 
 
 class DiagonalTensor:
@@ -124,15 +86,6 @@ class DiagonalTensor:
         """Amenability constant: the absolute sum of all entries."""
         return Fraction(sum(abs(v) for row in self.rows for v in row), self.den)
 
-    def is_symmetric(self) -> bool:
-        return self.rows == tuple(zip(*self.rows))
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def row_sums(self) -> tuple:
-        return tuple(Fraction(sum(row), self.den) for row in self.rows)
-
     def __eq__(self, other):
         return isinstance(other, DiagonalTensor) and (self.den, self.rows) == (
             other.den, other.rows)
@@ -156,7 +109,7 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
     n = s.n
     perm = s.canonical_perm
     pos = s.position
-    u = unit(s).coeffs
+    u = unit(s)
     top_level = s.height
     n_max = sum(1 for x in range(n) if s.level[x] == top_level)
     d = [[0] * n for _ in range(n)]
@@ -178,7 +131,7 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
                 d[j][c] = -sum(d[k][c] for k in above_pos[q])
         # s*t = p forces s >= p and t >= p, so positions from c onward
         # cover every contributing pair
-        acc = int(u[p])
+        acc = u[p]
         for i in range(c, n):
             row = d[i]
             meets = s.table[perm[i]]
@@ -190,13 +143,13 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
     return DiagonalTensor(s, raw)
 
 
-def verify_diagonal(d: DiagonalTensor, u: L1Vector):
+def verify_diagonal(d: DiagonalTensor, u):
     """Check the two diagonal conditions; return (True, None) or a witness.
 
     Conditions: m(D) = u, and delta_q . D = D . delta_q for every basis
     element q.  The witness names the first failing equation.  Everything
     runs on the int matrix den*D; m(den*D) = den*u is compared by
-    cross-multiplying.
+    cross-multiplying, with u given as ints or Fractions.
 
     Acceptance checks centrality on the base's generating set alone: if q
     and r commute with D, so does qr.  Only a tensor that fails there walks
@@ -207,13 +160,13 @@ def verify_diagonal(d: DiagonalTensor, u: L1Vector):
     for g, row in enumerate(d.rows):
         for h, v in enumerate(row):
             moment[base.mul(g, h)] += v
-    for r, c in enumerate(u.coeffs):
+    for r, c in enumerate(u):
         if moment[r] * c.denominator != c.numerator * d.den:
             return False, {
                 "kind": "moment",
                 "element": r,
                 "lhs": Fraction(moment[r], d.den),
-                "rhs": c,
+                "rhs": Fraction(c),
             }
     if all(_noncentral_pair(d, q) is None for q in base.generating_set()):
         return True, None
@@ -243,27 +196,3 @@ def _noncentral_pair(d: DiagonalTensor, q: int):
             h = next(h for h in range(n) if right[h] != left[g][h])
             return g, h, Fraction(left[g][h], d.den), Fraction(right[h], d.den)
     return None
-
-
-def tensor_diagonal(da: DiagonalTensor, db: DiagonalTensor) -> DiagonalTensor:
-    """Diagonal of the product semilattice from diagonals of the factors.
-
-    Indexing matches semilattice.product: pair (i, j) at i*b.n + j, so the
-    entry matrix is the Kronecker product of the factors' matrices.
-    """
-    if not isinstance(da.base, Semilattice) or not isinstance(db.base, Semilattice):
-        raise TypeError("tensor_diagonal expects semilattice bases")
-    base = product(da.base, db.base)
-    nb = db.n
-    n = base.n
-    rows = [[0] * n for _ in range(n)]
-    for g1, row1 in enumerate(da.rows):
-        for h1, v1 in enumerate(row1):
-            if not v1:
-                continue
-            for g2, row2 in enumerate(db.rows):
-                target = rows[g1 * nb + g2]
-                for h2, v2 in enumerate(row2):
-                    if v2:
-                        target[h1 * nb + h2] = v1 * v2
-    return DiagonalTensor(base, rows, da.den * db.den)

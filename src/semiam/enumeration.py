@@ -1,17 +1,17 @@
 """Catalogues of small semilattices, their amenability spectrum, and the
 gap search over small Clifford semigroup instances.
 
-Two independent enumeration strategies back each other up: recursive
-extension by a new maximal element, and intersection-closed set families
-(the image side of the down-set embedding).  A brute-force table filter
-serves as the oracle at the smallest sizes.
+Classes are enumerated by recursive extension with a new maximal element.
+The tests check it against two independent strategies kept in
+tests/oracles.py: intersection-closed set families, and a brute-force
+table filter at the smallest sizes.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, permutations, product as iproduct
+from itertools import permutations, product as iproduct
 
 from .clifford import (
     CliffordSemigroup,
@@ -23,7 +23,7 @@ from .clifford import (
 from .diagonal import diagonal_recursive
 from .exactlinalg import rat_str
 from .moebius import diagonal_via_mobius
-from .semilattice import Semilattice, _invariant, check_table
+from .semilattice import Semilattice, _invariant
 
 
 def canonical_table(s: Semilattice) -> tuple:
@@ -109,60 +109,6 @@ def enumerate_by_extension(n: int) -> list:
                 grown.add(canonical_table(Semilattice(new)))
         current = sorted(grown)
     return list(current)
-
-
-def enumerate_by_families(n: int) -> list:
-    """Strategy B: families {empty} + (n-1) distinct nonempty subsets of an
-    (n-1)-point ground set, closed under pairwise intersection.
-
-    Stripping the bottom from every down-set turns any size-n semilattice
-    into exactly such a family, and any such family is a semilattice under
-    intersection.  Returns sorted canonical tables.
-    """
-    if n < 1:
-        return []
-    if n == 1:
-        return [((0,),)]
-    ground = n - 1
-    masks = list(range(1, 1 << ground))
-    found = set()
-    for chosen in combinations(masks, n - 1):
-        family = frozenset(chosen) | {0}
-        closed = True
-        for a, b in combinations(chosen, 2):
-            if a & b not in family:
-                closed = False
-                break
-        if not closed:
-            continue
-        fam = sorted(family)
-        index = {m: i for i, m in enumerate(fam)}
-        table = [
-            [index[a & b] for b in fam]
-            for a in fam
-        ]
-        found.add(canonical_table(Semilattice(table)))
-    return sorted(found)
-
-
-def enumerate_brute(n: int) -> list:
-    """Oracle for small n: filter all symmetric idempotent tables.
-
-    Cost grows as n**(n(n-1)/2); intended for n <= 4.
-    """
-    if n < 1:
-        return []
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    found = set()
-    for values in iproduct(range(n), repeat=len(slots)):
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            table[i][i] = i
-        for (i, j), v in zip(slots, values):
-            table[i][j] = table[j][i] = v
-        if check_table(table).ok:
-            found.add(canonical_table(Semilattice(table)))
-    return sorted(found)
 
 
 def enumerate_semilattices(n: int) -> list:
@@ -254,9 +200,6 @@ class GapInstance:
         self.homs = homs  # ((s, t, gen_images), ...) for all strict pairs
         self.size = size
         self.am = am
-
-    def key(self):
-        return (self.skeleton_table, self.orders, self.homs)
 
     def to_json_dict(self):
         return {

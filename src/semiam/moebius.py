@@ -1,17 +1,13 @@
 """Moebius inversion on the semilattice order, and the diagonal through it.
 
-The order embeds into pointwise function algebras via down-set indicators;
-inverting that embedding needs the Moebius function of the order, and the
-diagonal has the closed form d(s,t) = sum over r of mu~(s,r) mu~(t,r) with
-mu~ the Moebius function extended by zero to incomparable pairs.
+The diagonal has the closed form d(s,t) = sum over r of mu~(s,r) mu~(t,r),
+with mu~ the Moebius function of the order extended by zero to
+incomparable pairs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .diagonal import DiagonalTensor, L1Vector
-from .exactlinalg import rat
+from .diagonal import DiagonalTensor
 from .semilattice import Semilattice
 
 
@@ -35,10 +31,6 @@ class MoebiusTable:
             columns.append(column)
         self.columns = tuple(columns)
 
-    def value(self, t: int, s: int) -> int:
-        """mu(t, s); raises KeyError when t is not below s."""
-        return self.columns[s][t]
-
     def pairs(self):
         """All (t, s, mu) triples, sorted."""
         return sorted((t, s, v) for s, column in enumerate(self.columns)
@@ -47,36 +39,6 @@ class MoebiusTable:
 
 def mobius_table(base: Semilattice) -> MoebiusTable:
     return MoebiusTable(base)
-
-
-def schutzenberger(x: L1Vector) -> tuple:
-    """Map a point mass to its down-set indicator, extended linearly.
-
-    Returns the pointwise function as a coefficient tuple: value at t is the
-    sum of x(s) over s >= t.  This is an algebra homomorphism into functions
-    under pointwise multiplication.
-    """
-    base = x.base
-    return tuple(
-        sum((x.coeffs[s] for s in range(base.n) if base.leq[t][s]), Fraction(0))
-        for t in range(base.n)
-    )
-
-
-def schutzenberger_inverse(values, base: Semilattice) -> L1Vector:
-    """Inverse of the down-set indicator map: x(t) = sum mu(t,s) f(s), s >= t."""
-    values = [rat(v) for v in values]
-    if len(values) != base.n:
-        raise ValueError("value count does not match the base")
-    table = mobius_table(base)
-    coeffs = [
-        sum(
-            (table.value(t, s) * values[s] for s in range(base.n) if base.leq[t][s]),
-            Fraction(0),
-        )
-        for t in range(base.n)
-    ]
-    return L1Vector(base, coeffs)
 
 
 def outer_product_sum(n: int, terms) -> list:

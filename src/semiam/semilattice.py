@@ -100,10 +100,11 @@ class Semilattice:
         self.n = len(table)
         self.table = tuple(tuple(row) for row in table)
         if labels is None:
-            labels = [str(i) for i in range(self.n)]
-        if len(labels) != self.n or len(set(labels)) != self.n:
-            raise ValueError("need one distinct label per element")
+            labels = range(self.n)
         self.labels = tuple(str(x) for x in labels)
+        # distinct as printed: 1 and "1" would both show as "1"
+        if len(self.labels) != self.n or len(set(self.labels)) != self.n:
+            raise ValueError("need one distinct label per element")
         self._derive()
 
     def _derive(self):
@@ -163,9 +164,6 @@ class Semilattice:
                     covers.append((s, t))
         self.hasse = tuple(sorted(covers))
 
-    def meet(self, s: int, t: int) -> int:
-        return self.table[s][t]
-
     # shared protocol with CliffordSemigroup: the semigroup product
     def mul(self, s: int, t: int) -> int:
         return self.table[s][t]
@@ -180,9 +178,6 @@ class Semilattice:
         for s, _ in self.hasse:
             upper_covers[s] += 1
         return tuple(s for s in range(self.n) if upper_covers[s] <= 1)
-
-    def le(self, s: int, t: int) -> bool:
-        return self.leq[s][t]
 
     def lt(self, s: int, t: int) -> bool:
         return s != t and self.leq[s][t]
@@ -287,9 +282,8 @@ def from_hasse(n: int, covers, labels=None):
                 table[s][t] = table[t][s] = best
     if violations:
         return ValidationReport(False, violations)
-    report = check_table(table)
-    if not report.ok:  # cannot happen for a true meet operation
-        return report
+    # a greatest lower bound for every pair makes the table a meet:
+    # idempotent, commutative and associative with no further check
     return Semilattice(table, labels)
 
 
@@ -317,49 +311,6 @@ def _invariant(s: Semilattice, x: int) -> tuple:
     upper_covers = sum(1 for (a, b) in s.hasse if a == x)
     down_levels = tuple(sorted(s.level[y] for y in down))
     return (s.level[x], len(down), len(up), lower_covers, upper_covers, down_levels)
-
-
-def are_isomorphic(a: Semilattice, b: Semilattice):
-    """Return (True, perm) with perm[i in a] = image in b, or (False, None)."""
-    if a.n != b.n:
-        return False, None
-    inv_a = [_invariant(a, x) for x in range(a.n)]
-    inv_b = [_invariant(b, x) for x in range(b.n)]
-    if sorted(inv_a) != sorted(inv_b):
-        return False, None
-    n = a.n
-    order = sorted(range(n), key=lambda x: a.position[x])
-    candidates = {x: [y for y in range(n) if inv_b[y] == inv_a[x]] for x in order}
-    perm = [None] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        x = order[k]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            ok = True
-            # meets of x with placed elements are already placed: a meet is
-            # strictly below x, so it comes earlier in canonical order
-            for x2 in order[:k]:
-                if perm[a.table[x][x2]] != b.table[y][perm[x2]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            perm[x] = y
-            used[y] = True
-            if extend(k + 1):
-                return True
-            perm[x] = None
-            used[y] = False
-        return False
-
-    if extend(0):
-        return True, tuple(perm)
-    return False, None
 
 
 def from_json_dict(obj):

@@ -433,6 +433,16 @@ def test_digits_flag(capsys):
     code, payload, _ = run_json(capsys, "am", SIX_JSON, "--digits", "2")
     assert code == 0
     assert payload["am_decimal"] == "41.00"
+    code, payload, _ = run_json(capsys, "am", SIX_JSON, "--digits", "0")
+    assert code == 0
+    assert payload["am_decimal"] == "41"
+    code, payload, err = run_json(capsys, "am", SIX_JSON, "--digits", "-2")
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "digits", "witness": [-2]}],
+    }
+    assert err == ""
 
 
 def test_digits_above_the_int_str_limit_exit_2(capsys):

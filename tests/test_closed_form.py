@@ -22,7 +22,6 @@ from semiam.clifford import (
 )
 from semiam.diagonal import (
     DiagonalTensor,
-    L1Vector,
     diagonal_recursive,
     unit,
     verify_diagonal,
@@ -113,6 +112,22 @@ def test_table_matches_the_per_cell_definition_on_the_gap_family():
         assert g.table == per_cell_table(g)
 
 
+def test_units_are_int_tuples_and_the_clifford_units_solve():
+    for size in range(1, 7):
+        for s in enumerate_semilattices(size):
+            u = unit(s)
+            assert type(u) is tuple and len(u) == s.n
+            assert all(type(c) is int for c in u)
+    instances = gap_instances()
+    assert len(instances) == 332
+    for inst in instances:
+        g = build_instance(inst)
+        u = clifford_unit_from_skeleton(g)
+        assert type(u) is tuple and len(u) == g.n
+        assert all(type(c) is int for c in u)
+        assert u == unit_solve(g)
+
+
 def test_trivial_blocks_give_the_moebius_diagonal():
     for size in range(1, 6):
         for s in enumerate_semilattices(size):
@@ -123,7 +138,7 @@ def test_trivial_blocks_give_the_moebius_diagonal():
 def test_seven_element_golden():
     u, d = unit_and_diagonal(make_g(2))
     assert d.entries == frozen(G2_MATRIX)
-    assert u.coeffs == (0, 0, 0, 0, 0, 0, 1)
+    assert u == (0, 0, 0, 0, 0, 0, 1)
     assert d.am() == 43
 
 
@@ -132,7 +147,7 @@ def test_am_family_closed_form():
         assert am_constant(make_g(n)) == 41 + Fraction(4 * (n - 1), n)
 
 
-def _first_failing_equation(d: DiagonalTensor, u: L1Vector):
+def _first_failing_equation(d: DiagonalTensor, u: tuple):
     """The reference: every equation in Fractions, in the order the witness
     names them."""
     base = d.base
@@ -143,12 +158,12 @@ def _first_failing_equation(d: DiagonalTensor, u: L1Vector):
         for h in range(n):
             moment[base.mul(g, h)] += row[h]
     for r in range(n):
-        if moment[r] != u.coeffs[r]:
+        if moment[r] != u[r]:
             return False, {
                 "kind": "moment",
                 "element": r,
                 "lhs": moment[r],
-                "rhs": u.coeffs[r],
+                "rhs": u[r],
             }
     pre = [[[] for _ in range(n)] for _ in range(n)]
     for q in range(n):
@@ -232,11 +247,11 @@ def test_a_wrong_unit_is_rejected():
     g = make_g(3)
     u, d = unit_and_diagonal(g)
     for x in range(g.n):
-        wrong = L1Vector(g, [c + (i == x) for i, c in enumerate(u.coeffs)])
+        wrong = tuple(c + (i == x) for i, c in enumerate(u))
         ok, witness = verify_diagonal(d, wrong)
         assert not ok
         assert witness == {"kind": "moment", "element": x,
-                           "lhs": u.coeffs[x], "rhs": wrong.coeffs[x]}
+                           "lhs": u[x], "rhs": wrong[x]}
 
 
 def test_verifier_accepts_exactly_the_diagonal_on_semilattices():

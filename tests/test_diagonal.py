@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_broom, make_six, make_tree
+from oracles import point_mass, tensor_diagonal
 from semiam.diagonal import (
     DiagonalTensor,
-    L1Vector,
-    convolve,
     diagonal_recursive,
-    tensor_diagonal,
+    first_unit_failure,
     unit,
     verify_diagonal,
 )
@@ -59,52 +58,41 @@ def test_tensor_rejects_non_rational_entries(bad):
         DiagonalTensor(chain(1), [[2, -1], [bad, 1]])
 
 
-def test_convolve_point_masses():
-    f2 = flat(2)
-    d1 = L1Vector.point_mass(f2, 1)
-    d2 = L1Vector.point_mass(f2, 2)
-    assert convolve(d1, d2) == L1Vector.point_mass(f2, 0)
-    assert convolve(d1, d1) == d1
-    x = d1 + d2
-    assert convolve(x, d1).coeffs == (Fraction(1), Fraction(1), Fraction(0))
-
-
-def test_convolve_associative_and_bilinear_seeded():
-    six = make_six()
-    rng = random.Random(13)
-
-    def rand_vec():
-        return L1Vector(
-            six,
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)],
-        )
-
-    for _ in range(10):
-        x, y, z = rand_vec(), rand_vec(), rand_vec()
-        assert convolve(convolve(x, y), z) == convolve(x, convolve(y, z))
-        assert convolve(x + y, z) == convolve(x, z) + convolve(y, z)
-        # the semigroup is commutative, so the algebra is too
-        assert convolve(x, y) == convolve(y, x)
-
-
 def test_unit_golden_values():
-    assert unit(flat(2)).coeffs == (Fraction(-1), Fraction(1), Fraction(1))
-    assert unit(chain(3)).coeffs == (0, 0, 0, 1)
-    assert unit(make_six()).coeffs == (0, 0, 0, 0, 0, 1)
-    assert unit(power_set(2)).coeffs == (0, 0, 0, 1)
+    assert unit(flat(2)) == (Fraction(-1), Fraction(1), Fraction(1))
+    assert unit(chain(3)) == (0, 0, 0, 1)
+    assert unit(make_six()) == (0, 0, 0, 0, 0, 1)
+    assert unit(power_set(2)) == (0, 0, 0, 1)
     # o < a,b with c above a: two maximal elements at different heights
-    assert unit(make_broom()).coeffs == (-1, 0, 1, 1)
+    assert unit(make_broom()) == (-1, 0, 1, 1)
 
 
 def test_unit_is_an_identity_and_sums_to_one():
     for s in [chain(0), chain(3), flat(3), flat_with_top(3), power_set(3),
               make_six(), make_tree(), make_broom()]:
         u = unit(s)
-        assert sum(u.coeffs) == 1
+        assert sum(u) == 1
         for x in range(s.n):
-            p = L1Vector.point_mass(s, x)
-            assert convolve(u, p) == p
-            assert convolve(p, u) == p
+            p = point_mass(s, x)
+            # u * delta_x and delta_x * u, one product per nonzero u(t)
+            left, right = [0] * s.n, [0] * s.n
+            for t, c in enumerate(u):
+                left[s.table[t][x]] += c
+                right[s.table[x][t]] += c
+            assert tuple(left) == p
+            assert tuple(right) == p
+        assert first_unit_failure(s, u, range(s.n)) is None
+
+
+def test_first_unit_failure_names_the_first_failing_element():
+    for s in [chain(3), flat(3), make_six(), make_broom()]:
+        bottom = point_mass(s, s.minimum)
+        # delta_o * delta_q = delta_o, which is delta_q only for q = o
+        first = next(q for q in range(s.n) if q != s.minimum)
+        assert first_unit_failure(s, bottom, range(s.n)) == first
+        assert first_unit_failure(s, bottom, [s.minimum]) is None
+        assert first_unit_failure(s, bottom, [s.minimum, first]) == first
+        assert first_unit_failure(s, unit(s), []) is None
 
 
 def test_diagonal_golden_matrices():
@@ -144,9 +132,9 @@ def test_diagonal_shape_facts():
     for s in [chain(3), flat(3), flat_with_top(3), power_set(3), make_six(),
               make_tree(), make_broom()]:
         d = diagonal_recursive(s)
-        assert d.is_symmetric()
-        assert d.is_integral()
-        sums = d.row_sums()
+        assert d.rows == tuple(zip(*d.rows))
+        assert d.den == 1
+        sums = [sum(row) for row in d.rows]
         assert sums[s.minimum] == 1
         for x in range(s.n):
             if x != s.minimum:

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from conftest import SIX_COVERS, SIX_LABELS, make_broom, make_six, make_tree
+from oracles import are_isomorphic
 from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
     Semilattice,
     ValidationReport,
     _first_nonassociative,
-    are_isomorphic,
     chain,
     check_table,
     flat,
@@ -212,7 +212,7 @@ def test_power_set_structure():
     assert s.top() == 7
     assert s.level == (0, 1, 1, 2, 1, 2, 2, 3)
     # meets really are intersections
-    assert s.meet(0b011, 0b110) == 0b010
+    assert s.table[0b011][0b110] == 0b010
 
 
 def test_six_element_lattice(six):
@@ -229,7 +229,7 @@ def test_six_element_lattice(six):
     )
     assert six.hasse == tuple(sorted(SIX_COVERS))
     # the load-bearing fact: s3 and s4 meet at the bottom
-    assert six.meet(3, 4) == 0
+    assert six.table[3][4] == 0
 
 
 def test_from_hasse_rejects_double_bottom_diamond():
@@ -257,10 +257,79 @@ def test_from_hasse_builds_a_long_chain():
     assert s.table == chain(149).table
 
 
+def reference_order_meets(n, covers):
+    """The meet table of the order that the covers generate, by brute force,
+    or None when the order has a cycle or some pair has no greatest lower
+    bound."""
+    below = [[s == t for t in range(n)] for s in range(n)]
+    for s, t in covers:
+        below[s][t] = True
+    for k in range(n):
+        for s in range(n):
+            for t in range(n):
+                below[s][t] = below[s][t] or (below[s][k] and below[k][t])
+    if any(below[s][t] and below[t][s] for s in range(n) for t in range(s)):
+        return None
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            lower = [c for c in range(n) if below[c][a] and below[c][b]]
+            greatest = [c for c in lower if all(below[d][c] for d in lower)]
+            if len(greatest) != 1:
+                return None
+            table[a][b] = greatest[0]
+    return table
+
+
+def test_from_hasse_matches_check_table_on_random_families():
+    # from_hasse builds its table without running check_table; check_table
+    # judges every table it accepts
+    rng = random.Random(808)
+    accepted = rejected = 0
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        table = random_family_table(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inv = [0] * n
+        for old, new in enumerate(perm):
+            inv[new] = old
+        shuffled = [[perm[table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+        covers = [(s, t) for s in range(n) for t in range(n)
+                  if s != t and shuffled[s][t] == s and not any(
+                      r not in (s, t) and shuffled[s][r] == s and shuffled[r][t] == r
+                      for r in range(n))]
+        rng.shuffle(covers)
+        s = from_hasse(n, covers)
+        assert isinstance(s, Semilattice)
+        assert check_table(s.table).ok
+        assert s == validate(shuffled)
+        if n < 2:
+            continue
+        # drop a cover or add an edge: the order may lose a meet or close a
+        # cycle, and from_hasse must reject exactly those
+        mutated = list(covers)
+        if mutated and rng.random() < 0.5:
+            mutated.pop(rng.randrange(len(mutated)))
+        else:
+            mutated.append(tuple(rng.sample(range(n), 2)))
+        expected = reference_order_meets(n, mutated)
+        result = from_hasse(n, mutated)
+        if expected is None:
+            assert isinstance(result, ValidationReport) and not result.ok
+            rejected += 1
+        else:
+            assert isinstance(result, Semilattice)
+            assert check_table(result.table).ok
+            assert result.table == tuple(map(tuple, expected))
+            accepted += 1
+    assert accepted > 50 and rejected > 50
+
+
 def _meet_closure(s: Semilattice, gens) -> set:
     closed = set(gens)
     while True:
-        grown = closed | {s.meet(a, b) for a in closed for b in closed}
+        grown = closed | {s.table[a][b] for a in closed for b in closed}
         if grown == closed:
             return closed
         closed = grown
@@ -346,7 +415,7 @@ def test_down_sets_injective_and_meet_compatible():
         assert len(set(down)) == s.n
         for a in range(s.n):
             for b in range(s.n):
-                assert down[a] & down[b] == down[s.meet(a, b)]
+                assert down[a] & down[b] == down[s.table[a][b]]
 
 
 def test_are_isomorphic_relabelings(six):
@@ -359,7 +428,7 @@ def test_are_isomorphic_relabelings(six):
         assert iso
         for a in range(6):
             for b in range(6):
-                assert found[six.meet(a, b)] == other.meet(found[a], found[b])
+                assert found[six.table[a][b]] == other.table[found[a]][found[b]]
 
 
 def test_are_isomorphic_distinguishes():
@@ -377,6 +446,11 @@ def test_relabel_roundtrip(six):
 def test_labels_must_be_distinct():
     with pytest.raises(ValueError):
         Semilattice([[0, 0], [0, 1]], labels=["x", "x"])
+    # distinct as given, but both print as "1"
+    with pytest.raises(ValueError):
+        Semilattice([[0, 0], [0, 1]], labels=[1, "1"])
+    with pytest.raises(ValueError):
+        from_hasse(2, [(0, 1)], labels=[1, "1"])
 
 
 def test_from_json_dict_table_and_hasse():

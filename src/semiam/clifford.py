@@ -12,6 +12,8 @@ semilattices is the special case.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import product as iproduct
 from math import lcm
 
 from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
@@ -26,6 +28,13 @@ from .semilattice import (
 )
 
 
+# The most elements, sum |G_e|, that from_json_dict accepts.  Table,
+# diagonal and verifier work grow as n^2 to n^3; at 512 the slowest shape
+# found, a chain of trivial blocks given as a table, runs `semiam clifford`
+# in about 35 s on a shared 2-CPU 2.1 GHz Xeon.
+MAX_ELEMENTS = 512
+
+
 class NotUnitalError(RuntimeError):
     pass
 
@@ -38,7 +47,8 @@ class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
     Elements are indexed 0..order-1 in lexicographic digit order, so the
-    identity (all zeros) is index 0.
+    identity (all zeros) is index 0.  The addition and inverse tables are
+    built once here; add and inverse look them up.
     """
 
     def __init__(self, cyclic_orders):
@@ -46,42 +56,41 @@ class FiniteAbelianGroup:
         if any(k < 1 for k in orders):
             raise ValueError("cyclic factor orders must be positive")
         self.cyclic_orders = orders
-        self.order = 1
-        for k in orders:
-            self.order *= k
-        self._tuples = []
-        digits = [0] * len(orders)
-        for _ in range(self.order):
-            self._tuples.append(tuple(digits))
-            for pos in reversed(range(len(orders))):
-                digits[pos] += 1
-                if digits[pos] < orders[pos]:
-                    break
-                digits[pos] = 0
-        self._index = {t: i for i, t in enumerate(self._tuples)}
+        self._tuples = list(iproduct(*(range(k) for k in orders)))
+        self.order = len(self._tuples)
+        # index of (d, rest) is d * |rest| + index of rest: build both
+        # tables from the last factor outward
+        sums, negatives = [[0]], [0]
+        for k in reversed(orders):
+            m = len(negatives)
+            sums = [[(d + e) % k * m + h for e in range(k) for h in row]
+                    for d in range(k) for row in sums]
+            negatives = [-d % k * m + h for d in range(k) for h in negatives]
+        self.add_table = tuple(map(tuple, sums))
+        self.inverse_table = tuple(negatives)
+        # the generator of factor i has digit 1 there and 0 elsewhere
+        self._generators = tuple(
+            self.index([int(pos == i) for pos in range(len(orders))])
+            for i, k in enumerate(orders) if k > 1)
 
     def element(self, i: int) -> tuple:
         return self._tuples[i]
 
     def index(self, digits) -> int:
-        return self._index[tuple(d % k for d, k in zip(digits, self.cyclic_orders))]
+        i = 0
+        for d, k in zip(digits, self.cyclic_orders):
+            i = i * k + d % k
+        return i
 
     def add(self, i: int, j: int) -> int:
-        a, b = self._tuples[i], self._tuples[j]
-        return self.index([x + y for x, y in zip(a, b)])
+        return self.add_table[i][j]
 
     def inverse(self, i: int) -> int:
-        return self.index([-x for x in self._tuples[i]])
+        return self.inverse_table[i]
 
     def generators(self) -> tuple:
         """One generator index per nontrivial cyclic factor."""
-        gens = []
-        for pos, k in enumerate(self.cyclic_orders):
-            if k > 1:
-                digits = [0] * len(self.cyclic_orders)
-                digits[pos] = 1
-                gens.append(self._index[tuple(digits)])
-        return tuple(gens)
+        return self._generators
 
     def __repr__(self):
         return f"FiniteAbelianGroup{self.cyclic_orders}"
@@ -91,13 +100,26 @@ class ConnectingHom:
     """Homomorphism between two finite abelian groups, by generator images.
 
     gen_images[i] is the digit tuple in the target that the i-th cyclic
-    generator of the source maps to.
+    generator of the source maps to.  images[x] is the target index of the
+    image of source element x, computed once here; it means something only
+    once check() passes.
     """
 
     def __init__(self, source: FiniteAbelianGroup, target: FiniteAbelianGroup, gen_images):
         self.source = source
         self.target = target
         self.gen_images = tuple(tuple(int(d) for d in img) for img in gen_images)
+        # source element (d, rest) maps to d times the first generator's
+        # image plus the image of rest: grow from the last factor outward
+        add = target.add_table
+        images = [0]
+        for k, img in zip(reversed(source.cyclic_orders), reversed(self.gen_images)):
+            step = target.index(img)
+            multiples = [0]
+            for _ in range(k - 1):
+                multiples.append(add[multiples[-1]][step])
+            images = [add[a][b] for a in multiples for b in images]
+        self.images = tuple(images)
 
     @classmethod
     def trivial(cls, source, target):
@@ -122,27 +144,19 @@ class ConnectingHom:
         return None
 
     def apply(self, x: int) -> int:
-        digits = self.source.element(x)
-        out = [0] * len(self.target.cyclic_orders)
-        for d, img in zip(digits, self.gen_images):
-            if d:
-                for pos, v in enumerate(img):
-                    out[pos] += d * v
-        return self.target.index(out)
+        return self.images[x]
 
     @classmethod
     def compose(cls, first: "ConnectingHom", second: "ConnectingHom") -> "ConnectingHom":
         """second after first (first.target must be second.source)."""
         images = [
-            second.target.element(second.apply(first.target.index(img)))
+            second.target.element(second.images[first.target.index(img)])
             for img in first.gen_images
         ]
         return cls(first.source, second.target, images)
 
     def same_map(self, other: "ConnectingHom") -> bool:
-        return all(
-            self.apply(x) == other.apply(x) for x in range(self.source.order)
-        )
+        return self.images == other.images
 
 
 class CliffordSemigroup:
@@ -157,51 +171,62 @@ class CliffordSemigroup:
         self.skeleton = skeleton
         self.groups = tuple(groups)
         self.homs = dict(homs)  # (s, t) with t < s strictly -> ConnectingHom
+        blocks = skeleton.canonical_perm
         offset = {}
-        block_of = []
-        member_of = []
-        labels = []
         n = 0
-        for s in skeleton.canonical_perm:
+        for s in blocks:
             offset[s] = n
-            g = self.groups[s]
-            for i in range(g.order):
-                block_of.append(s)
-                member_of.append(i)
-                lbl = skeleton.labels[s]
-                if g.order == 1:
-                    labels.append(lbl)
-                elif i == 0:
-                    labels.append(f"e[{lbl}]")
-                else:
-                    digits = ".".join(str(d) for d in g.element(i))
-                    labels.append(f"{lbl}[{digits}]")
-            n += g.order
+            n += self.groups[s].order
         self.n = n
         self.offset = offset
-        self.block_of = tuple(block_of)
-        self.member_of = tuple(member_of)
-        self.labels = tuple(labels)
+        self.block_of = tuple(s for s in blocks for _ in range(self.groups[s].order))
+        self.member_of = tuple(i for s in blocks for i in range(self.groups[s].order))
         self.canonical_perm = tuple(range(n))
         # _images[(s, r)][x] = phi_{s,r}(x), the identity map for s = r
-        self._images = {(s, r): [hom.apply(x) for x in range(self.groups[s].order)]
-                        for (s, r), hom in self.homs.items()}
+        self._images = {pair: hom.images for pair, hom in self.homs.items()}
         self._images.update(((s, s), range(g.order)) for s, g in enumerate(self.groups))
         # sums[r][a][b] = id of a + b in block r
-        sums = [[[offset[r] + g.add(a, b) for b in range(g.order)]
-                 for a in range(g.order)] for r, g in enumerate(self.groups)]
-        blocks = skeleton.canonical_perm
+        sums = [[[offset[r] + v for v in row] for row in g.add_table]
+                for r, g in enumerate(self.groups)]
         table = []
-        for x in range(n):
-            sx, gx = self.block_of[x], self.member_of[x]
+        for sx in blocks:
             meets = skeleton.table[sx]
-            row = []
+            # per block sy: the sums of r = sx meet sy, and the maps into r
+            plan = []
             for sy in blocks:
                 r = meets[sy]
-                row_sum = sums[r][self._images[(sx, r)][gx]]
-                row += map(row_sum.__getitem__, self._images[(sy, r)])
-            table.append(tuple(row))
+                plan.append((sums[r], self._images[(sx, r)], self._images[(sy, r)]))
+            for gx in range(self.groups[sx].order):
+                row = []
+                for block_sums, push_x, push_y in plan:
+                    row += map(block_sums[push_x[gx]].__getitem__, push_y)
+                table.append(tuple(row))
         self.table = tuple(table)
+        # see generating_set
+        irreducible = set(skeleton.generating_set())
+        gens = []
+        for s in blocks:
+            if self.groups[s].order > 1:
+                gens += [offset[s] + g for g in self.groups[s].generators()]
+            elif s in irreducible:
+                gens.append(offset[s])
+        self._generating_set = tuple(gens)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """The skeleton label for a trivial block; e[label] for a block
+        identity and label[digits] for the other group elements."""
+        labels = []
+        for s, i in zip(self.block_of, self.member_of):
+            lbl = self.skeleton.labels[s]
+            if self.groups[s].order == 1:
+                labels.append(lbl)
+            elif i == 0:
+                labels.append(f"e[{lbl}]")
+            else:
+                digits = ".".join(str(d) for d in self.groups[s].element(i))
+                labels.append(f"{lbl}[{digits}]")
+        return tuple(labels)
 
     def _push(self, s: int, r: int, g: int) -> int:
         return self._images[(s, r)][g]
@@ -210,13 +235,14 @@ class CliffordSemigroup:
         return self.table[x][y]
 
     def generating_set(self) -> tuple:
-        """Block identities plus cyclic generators: generates the semigroup."""
-        gens = []
-        for s in self.skeleton.canonical_perm:
-            gens.append(self.offset[s])
-            for g in self.groups[s].generators():
-                gens.append(self.offset[s] + g)
-        return tuple(gens)
+        """The cyclic generators of every block, plus the identity of each
+        trivial block over a meet-irreducible of the skeleton.
+
+        A finite group is generated as a semigroup by its group generators,
+        block identity included.  Any other skeleton element e is the meet
+        of two elements above it, so e's identity is the product of theirs.
+        """
+        return self._generating_set
 
     def __repr__(self):
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"
@@ -259,15 +285,23 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     if violations:
         return ValidationReport(False, violations)
     for s in range(skeleton.n):
-        for t in range(skeleton.n):
-            if skeleton.lt(t, s) and (s, t) not in full:
+        for t in skeleton.strictly_below[s]:
+            if (s, t) not in full:
                 full[(s, t)] = ConnectingHom.trivial(gs[s], gs[t])
-    for r in range(skeleton.n):
-        for s in skeleton.strictly_below[r]:
-            for t in skeleton.strictly_below[s]:
-                via = ConnectingHom.compose(full[(r, s)], full[(s, t)])
-                if not via.same_map(full[(r, t)]):
-                    violations.append(Violation("hom_transitive", (r, s, t)))
+
+    def intransitive(triples):
+        # phi_{s,t} after phi_{r,s} must be phi_{r,t}
+        return [Violation("hom_transitive", (r, s, t)) for r, s, t in triples
+                if tuple(map(full[(s, t)].images.__getitem__, full[(r, s)].images))
+                != full[(r, t)].images]
+
+    # Transitivity through every lower cover s of r gives it through every
+    # s < r, by induction on the interval [s, r]; only a failure there
+    # walks every triple, to list the violations.
+    below = skeleton.strictly_below
+    if intransitive((r, s, t) for s, r in skeleton.hasse for t in below[s]):
+        violations = intransitive(
+            (r, s, t) for r in range(skeleton.n) for s in below[r] for t in below[s])
     if violations:
         return ValidationReport(False, violations)
     semigroup = CliffordSemigroup(skeleton, gs, full)
@@ -358,8 +392,8 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
         support = [(f, m) for f, m in columns[e].items() if m]
         lifted = [[(g.offset[f] + g._push(e, f, x), m) for f, m in support]
                   for x in range(group.order)]
-        terms += [(den // group.order, lifted[x], lifted[group.inverse(x)])
-                  for x in range(group.order)]
+        terms += [(den // group.order, lifted[x], lifted[y])
+                  for x, y in enumerate(group.inverse_table)]
     return DiagonalTensor(g, outer_product_sum(g.n, terms), den)
 
 
@@ -453,12 +487,31 @@ def collapse(d: DiagonalTensor) -> DiagonalTensor:
     return DiagonalTensor(skel, rows, d.den)
 
 
+def _element_count(orders) -> int:
+    """The element count sum |G_e| of the blocks with these cyclic orders.
+
+    Counting stops at the first factor that takes the count past
+    MAX_ELEMENTS, so a huge order list costs no big-number arithmetic.
+    """
+    count = 0
+    for entry in orders:
+        order = 1
+        for k in entry:
+            order *= k
+            if count + order > MAX_ELEMENTS:
+                return count + order
+        count += order
+    return count
+
+
 def from_json_dict(obj):
     """Build from {"skeleton": ..., "groups": [...], "homs": [...]}.
 
     Returns CliffordSemigroup or ValidationReport.  Group entries look like
     {"cyclic": [2]} (or a bare order list); hom entries are
-    {"from": s, "to": t, "gen_images": [[...], ...]}.
+    {"from": s, "to": t, "gen_images": [[...], ...]}.  More than
+    MAX_ELEMENTS elements in all is a "size" violation, found before any
+    group is built.
     """
     from .semilattice import from_json_dict as skel_from_json
 
@@ -470,7 +523,7 @@ def from_json_dict(obj):
     raw_groups = obj.get("groups")
     if not isinstance(raw_groups, list) or len(raw_groups) != skel.n:
         return ValidationReport(False, [Violation("groups", (skel.n,))])
-    groups = []
+    orders = []
     for i, entry in enumerate(raw_groups):
         if isinstance(entry, dict):
             entry = entry.get("cyclic")
@@ -478,7 +531,11 @@ def from_json_dict(obj):
             _is_int(k) and k >= 1 for k in entry
         ):
             return ValidationReport(False, [Violation("group", (i,))])
-        groups.append(FiniteAbelianGroup(entry))
+        orders.append(entry)
+    count = _element_count(orders)
+    if count > MAX_ELEMENTS:
+        return ValidationReport(False, [Violation("size", (count,))])
+    groups = [FiniteAbelianGroup(entry) for entry in orders]
     raw_homs = obj.get("homs") or []
     if not isinstance(raw_homs, list):
         return ValidationReport(False, [Violation("hom_entry", ())])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import add
 
 from .exactlinalg import rat, rat_str
 from .semilattice import Semilattice
@@ -157,9 +158,10 @@ def verify_diagonal(d: DiagonalTensor, u):
     """
     base = d.base
     moment = [0] * base.n
-    for g, row in enumerate(d.rows):
+    for row, products in zip(d.rows, base.table):
         for h, v in enumerate(row):
-            moment[base.mul(g, h)] += v
+            if v:
+                moment[products[h]] += v
     for r, c in enumerate(u):
         if moment[r] * c.denominator != c.numerator * d.den:
             return False, {
@@ -168,31 +170,41 @@ def verify_diagonal(d: DiagonalTensor, u):
                 "lhs": Fraction(moment[r], d.den),
                 "rhs": Fraction(c),
             }
-    if all(_noncentral_pair(d, q) is None for q in base.generating_set()):
+    columns = list(zip(*d.rows))
+    if all(_noncentral_pair(d, columns, q) is None for q in base.generating_set()):
         return True, None
     q, (g, h, lhs, rhs) = next(
-        (q, found) for q in range(base.n) if (found := _noncentral_pair(d, q))
+        (q, found) for q in range(base.n)
+        if (found := _noncentral_pair(d, columns, q))
     )
     return False, {"kind": "centrality", "q": q, "pair": (g, h),
                    "lhs": lhs, "rhs": rhs}
 
 
-def _noncentral_pair(d: DiagonalTensor, q: int):
+def _noncentral_pair(d: DiagonalTensor, columns, q: int):
     """The first (g, h, lhs, rhs), g then h ascending, where entry (g, h) of
-    delta_q . D (lhs) differs from that of D . delta_q (rhs); else None."""
-    base = d.base
-    n = base.n
-    image = [base.mul(q, x) for x in range(n)]
-    left = [[0] * n for _ in range(n)]
-    for x, row in enumerate(d.rows):
-        target = left[image[x]]
-        for h, v in enumerate(row):
-            target[h] += v
-    for g, row in enumerate(d.rows):
-        right = [0] * n
-        for y, v in enumerate(row):
-            right[image[y]] += v
-        if right != left[g]:
-            h = next(h for h in range(n) if right[h] != left[g][h])
-            return g, h, Fraction(left[g][h], d.den), Fraction(right[h], d.den)
+    delta_q . D (lhs) differs from that of D . delta_q (rhs); else None.
+
+    columns are the columns of den*D.  Row a of the left side sums the rows
+    x of D with qx = a; column b of the right side sums the columns y with
+    qy = b."""
+    n = d.n
+    image = d.base.table[q]
+    zero = (0,) * n
+    left = _sums_by_image(d.rows, image)
+    right = _sums_by_image(columns, image)
+    for g, rhs in enumerate(zip(*(right.get(b, zero) for b in range(n)))):
+        lhs = left.get(g, zero)
+        if lhs != rhs:
+            h = next(h for h in range(n) if lhs[h] != rhs[h])
+            return g, h, Fraction(lhs[h], d.den), Fraction(rhs[h], d.den)
     return None
+
+
+def _sums_by_image(vectors, image) -> dict:
+    """a -> the sum of vectors[x] over the x with image[x] = a."""
+    sums = {}
+    for x, vector in enumerate(vectors):
+        a = image[x]
+        sums[a] = tuple(map(add, sums[a], vector)) if a in sums else vector
+    return sums

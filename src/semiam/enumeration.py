@@ -309,14 +309,27 @@ class InstanceLimitError(ValueError):
         self.limit = limit
 
 
+def _cyclic_groups(max_cyclic_order: int) -> tuple:
+    """Z_k at index k, for k = 1..max_cyclic_order (index 0 is unused)."""
+    return (None,) + tuple(
+        FiniteAbelianGroup([k]) for k in range(1, max_cyclic_order + 1)
+    )
+
+
 def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
-                  instance_limit: int = 20000) -> list:
-    """Every Clifford instance in the search family, in deterministic order."""
+                  instance_limit: int = 20000, cyclic: tuple = None) -> list:
+    """Every Clifford instance in the search family, in deterministic order.
+
+    cyclic: Z_k at index k, as _cyclic_groups builds it, when the caller
+    shares the groups; built here otherwise.
+    """
+    if cyclic is None:
+        cyclic = _cyclic_groups(max_cyclic_order)
     instances = []
     for size in range(1, skeleton_max_size + 1):
         for skel in enumerate_semilattices(size):
             for orders in iproduct(range(1, max_cyclic_order + 1), repeat=size):
-                groups = [FiniteAbelianGroup([k]) for k in orders]
+                groups = [cyclic[k] for k in orders]
                 for homs in _systems_for(skel, groups):
                     packed = tuple(
                         sorted(
@@ -337,8 +350,8 @@ def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     return instances
 
 
-def _solve_gap_instance(inst: GapInstance, skel: Semilattice) -> Fraction:
-    groups = [FiniteAbelianGroup([k]) for k in inst.orders]
+def _solve_gap_instance(inst: GapInstance, skel: Semilattice, cyclic: tuple) -> Fraction:
+    groups = [cyclic[k] for k in inst.orders]
     hom_spec = {(s, t): imgs for (s, t, imgs) in inst.homs}
     built = build_clifford(skel, groups, hom_spec)
     if not isinstance(built, CliffordSemigroup):
@@ -354,7 +367,9 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     an amenability constant strictly between 5 and 9.  Each diagonal comes
     from the closed form and is verified before its constant is counted.
     """
-    instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
+    cyclic = _cyclic_groups(max_cyclic_order)
+    instances = gap_instances(skeleton_max_size, max_cyclic_order,
+                              instance_limit, cyclic)
     skeletons: dict = {}
     counts: dict = {}
     violations = []
@@ -362,7 +377,7 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
         table = inst.skeleton_table
         if table not in skeletons:
             skeletons[table] = Semilattice(table)
-        am = _solve_gap_instance(inst, skeletons[table])
+        am = _solve_gap_instance(inst, skeletons[table], cyclic)
         inst.am = am
         counts[am] = counts.get(am, 0) + 1
         if Fraction(5) < am < Fraction(9):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -344,6 +345,48 @@ def test_boolean_group_order_exits_2(capsys, entry):
     code, payload, _ = run_json(capsys, "clifford", json.dumps(doc))
     assert code == 2
     assert payload["violations"] == [{"axiom": "group", "witness": [1]}]
+
+
+@pytest.mark.parametrize("command", ["clifford", "verify"])
+def test_clifford_input_above_the_size_bound_exits_2(capsys, monkeypatch, command):
+    import semiam.clifford as clifford_mod
+
+    def refuse(self, cyclic_orders):
+        raise AssertionError("a group was built before the size check")
+
+    monkeypatch.setattr(clifford_mod.FiniteAbelianGroup, "__init__", refuse)
+    base = {"skeleton": {"table": [[0]]}, "groups": [{"cyclic": [10 ** 9]}]}
+    doc = base if command == "clifford" else {"base": base, "diagonal": [[1]]}
+    code, payload, err = run_json(capsys, command, json.dumps(doc))
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "size", "witness": [10 ** 9]}],
+    }
+    assert err == ""
+
+
+# SHA-256 of gap-search stdout, taken before the per-group tables and the
+# minimal Clifford generating set: the search output must not move
+GAP_SEARCH_SHA256 = [
+    (["--format", "json"],
+     "cb19bdd77694a811812dd36a02584f776841a48413a92f59b272fd9f1d3a9992"),
+    (["--format", "table"],
+     "3eaa5044eb27073370420ccfc4e1a68b2e01864b0122a4e5f0d76696f15f0315"),
+    (["--format", "csv"],
+     "4bf6ae20ebb7967e2868e55604774dfcc4a5a570bb9c0c1bf0b4854edc0a7b79"),
+    (["--skeleton-max-size", "4", "--max-cyclic-order", "2"],
+     "a5409ff0302f0c92d30437df170ef0cb3df459f6d6afedeb2b65786d6dcb2e96"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GAP_SEARCH_SHA256,
+                         ids=[" ".join(a) for a, _ in GAP_SEARCH_SHA256])
+def test_gap_search_output_is_pinned_byte_for_byte(capsys, argv, digest):
+    code, out, err = run(capsys, "gap-search", *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_accepts_the_real_diagonal(capsys):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_g, make_six
+import semiam.clifford as clifford_mod
 from semiam.clifford import (
+    MAX_ELEMENTS,
     CliffordSemigroup,
     ConnectingHom,
     DiagonalSolveError,
@@ -18,7 +20,8 @@ from semiam.clifford import (
     unit_solve,
 )
 from semiam.diagonal import diagonal_recursive, verify_diagonal
-from semiam.semilattice import chain, from_hasse
+from semiam.enumeration import _hom_choices
+from semiam.semilattice import chain, flat_with_top, from_hasse
 
 G2_MATRIX = (
     (6, -2, -2, Fraction(-1, 2), Fraction(1, 2), -2, 1),
@@ -331,10 +334,127 @@ def test_labels_and_blocks():
     assert [x for x in range(cs.n) if cs.block_of[x] == 3] == [3, 4]
     assert cs.offset[3] == 3
     assert cs.offset[4] == 5
-    assert cs.generating_set() == (0, 1, 2, 3, 4, 5, 6)
+    # the meet-irreducibles s1, s2, s4 and 1 with trivial blocks, and the
+    # generator of Z2 at s3; o = s1 s2 and e[s3] = s3[1]^2 are products
+    assert cs.generating_set() == (1, 2, 4, 5, 6)
 
 
 def test_generating_set_skips_redundant_members():
     cs = build_clifford(chain(0), [FiniteAbelianGroup([4])], {})
-    # identity plus the single cyclic generator, not all four elements
-    assert cs.generating_set() == (0, 1)
+    # the single cyclic generator: its powers give all four elements,
+    # the identity among them
+    assert cs.generating_set() == (1,)
+
+
+TABLE_ORDERS = [(2,), (6,), (2, 2), (2, 4), (3, 3)]
+
+
+def digits_index(group, digits):
+    reduced = tuple(d % k for d, k in zip(digits, group.cyclic_orders))
+    return next(i for i in range(group.order) if group.element(i) == reduced)
+
+
+@pytest.mark.parametrize("orders", TABLE_ORDERS, ids=str)
+def test_group_tables_are_digitwise_modular_arithmetic(orders):
+    group = FiniteAbelianGroup(orders)
+    assert group.order == len(group.add_table) == len(group.inverse_table)
+    for x in range(group.order):
+        a = group.element(x)
+        assert group.index(a) == x
+        assert group.element(group.inverse_table[x]) == tuple(
+            -d % k for d, k in zip(a, orders))
+        for y in range(group.order):
+            b = group.element(y)
+            assert group.element(group.add_table[x][y]) == tuple(
+                (d + e) % k for d, e, k in zip(a, b, orders))
+
+
+def test_hom_images_follow_the_digit_formula():
+    # x = sum of d_i g_i maps to sum of d_i * gen_images[i], digit-wise
+    rng = random.Random(5)
+    groups = [FiniteAbelianGroup(orders) for orders in TABLE_ORDERS]
+    for source in groups:
+        for target in groups:
+            choices = _hom_choices(source, target)
+            for imgs in rng.sample(choices, min(4, len(choices))):
+                hom = ConnectingHom(source, target, imgs)
+                assert hom.check() is None
+                expected = []
+                for x in range(source.order):
+                    out = [0] * len(target.cyclic_orders)
+                    for d, img in zip(source.element(x), imgs):
+                        out = [o + d * v for o, v in zip(out, img)]
+                    expected.append(digits_index(target, out))
+                assert hom.images == tuple(expected)
+                assert [hom.apply(x) for x in range(source.order)] == expected
+
+
+def reference_intransitive(skeleton, groups, homs):
+    """Every (r, s, t) with phi_{r,t} != phi_{s,t} phi_{r,s}, one triple at
+    a time through compose and same_map."""
+    full = {}
+    for s in range(skeleton.n):
+        for t in skeleton.strictly_below[s]:
+            imgs = homs.get((s, t))
+            full[(s, t)] = (ConnectingHom(groups[s], groups[t], imgs) if imgs
+                            else ConnectingHom.trivial(groups[s], groups[t]))
+    return [(r, s, t)
+            for r in range(skeleton.n)
+            for s in skeleton.strictly_below[r]
+            for t in skeleton.strictly_below[s]
+            if not ConnectingHom.compose(full[(r, s)], full[(s, t)]).same_map(full[(r, t)])]
+
+
+def test_transitivity_violations_match_the_full_walk():
+    rng = random.Random(12)
+    skeletons = [chain(3), flat_with_top(2), from_hasse(4, [(0, 1), (0, 2), (1, 3)])]
+    rejected = 0
+    for _ in range(60):
+        skel = rng.choice(skeletons)
+        groups = [FiniteAbelianGroup(rng.choice([[2], [4], [2, 2]])) for _ in range(skel.n)]
+        homs = {}
+        for s in range(skel.n):
+            for t in skel.strictly_below[s]:
+                if rng.random() < 0.6:
+                    homs[(s, t)] = rng.choice(_hom_choices(groups[s], groups[t]))
+        expected = reference_intransitive(skel, groups, homs)
+        built = build_clifford(skel, groups, homs)
+        if expected:
+            rejected += 1
+            assert not isinstance(built, CliffordSemigroup)
+            assert [(v.axiom, v.witness) for v in built.violations] == [
+                ("hom_transitive", w) for w in expected]
+        else:
+            assert isinstance(built, CliffordSemigroup)
+    assert 10 < rejected < 60
+
+
+class GroupBuilt(Exception):
+    pass
+
+
+def forbid_group_construction(monkeypatch):
+    def refuse(self, cyclic_orders):
+        raise GroupBuilt(cyclic_orders)
+
+    monkeypatch.setattr(clifford_mod.FiniteAbelianGroup, "__init__", refuse)
+
+
+def test_size_bound_rejects_before_any_group_is_built(monkeypatch):
+    forbid_group_construction(monkeypatch)
+    report = from_json_dict(
+        {"skeleton": {"table": [[0]]}, "groups": [{"cyclic": [10 ** 9]}]})
+    assert not isinstance(report, CliffordSemigroup)
+    assert [(v.axiom, v.witness) for v in report.violations] == [("size", (10 ** 9,))]
+    # the count sums over blocks; counting stops once it passes the bound
+    two = {"n": 2, "hasse": [[0, 1]]}
+    half = MAX_ELEMENTS // 2
+    report = from_json_dict(
+        {"skeleton": two, "groups": [{"cyclic": [half]}, {"cyclic": [half + 1]}]})
+    assert report.violations[0].witness == (MAX_ELEMENTS + 1,)
+    report = from_json_dict({"skeleton": two, "groups": [[1], [2] * 100000]})
+    k = next(k for k in range(64) if 1 + 2 ** k > MAX_ELEMENTS)
+    assert report.violations[0].witness == (1 + 2 ** k,)
+    # exactly at the bound the input goes on to build its groups
+    with pytest.raises(GroupBuilt):
+        from_json_dict({"skeleton": two, "groups": [[half], [MAX_ELEMENTS - half]]})

@@ -205,8 +205,8 @@ def _moment_keeping_pairs(base):
 
 
 def _single_block(orders) -> CliffordSemigroup:
-    # the block identity, the first generator, commutes with every tensor,
-    # so only the later generators can catch a perturbation
+    # one block: its identity is the unit and commutes with every tensor,
+    # so the cyclic generators alone must catch a perturbation
     g = build_clifford(chain(0), [FiniteAbelianGroup(orders)], {})
     assert isinstance(g, CliffordSemigroup)
     return g
@@ -304,3 +304,65 @@ def test_closed_form_failure_is_loud(monkeypatch):
     )
     with pytest.raises(DiagonalSolveError):
         unit_and_diagonal(g)
+
+
+def closure(g: CliffordSemigroup, gens) -> set:
+    """Every product of one or more elements of gens."""
+    reached = set(gens)
+    frontier = list(reached)
+    while frontier:
+        fresh = {g.table[x][q] for x in frontier for q in gens} - reached
+        reached |= fresh
+        frontier = list(fresh)
+    return reached
+
+
+def small_block_systems():
+    """Z2 x Z2, Z2 x Z4 and Z6 blocks over the small skeletons, with a
+    seeded sample of their hom systems."""
+    rng = random.Random(3)
+    for skeleton in [chain(0), chain(1), chain(2), flat(2), flat_with_top(2)]:
+        for block in [[2, 2], [2, 4], [6]]:
+            patterns = [[block if i == pos else other for i in range(skeleton.n)]
+                        for pos in range(skeleton.n) for other in ([1], [2])]
+            if skeleton.n <= 3:
+                patterns.append([block] * skeleton.n)
+            for orders in patterns:
+                groups = [FiniteAbelianGroup(k) for k in orders]
+                systems = list(_systems_for(skeleton, groups))
+                for homs in rng.sample(systems, min(3, len(systems))):
+                    yield build_clifford(skeleton, groups, homs)
+
+
+def test_generating_set_generates_the_whole_semigroup():
+    semigroups = [build_instance(inst) for inst in gap_instances()]
+    semigroups += [build_instance(inst) for inst in gap_instances(4, 3)]
+    semigroups += [make_g(k) for k in (2, 3, 4)]
+    semigroups += list(small_block_systems())
+    assert len(semigroups) > 1500
+    for g in semigroups:
+        assert isinstance(g, CliffordSemigroup)
+        gens = g.generating_set()
+        assert len(set(gens)) == len(gens)
+        assert closure(g, gens) == set(range(g.n))
+
+
+def test_a_tensor_central_for_every_block_identity_is_still_rejected():
+    # chain o < m < t with Z2 x Z2 at m; ids o = 0, m = 1..4 in digit
+    # order (0,0), (0,1), (1,0), (1,1), t = 5.  The block identities 0, 1
+    # and 5 all commute with P = u (x) v for u = (-1)^a and v = (-1)^(a+b)
+    # on m, and so does the generator (1,0); the generator (0,1) does not.
+    # u * v = 0 and the row and column sums of P vanish, so D + P keeps
+    # the moment.
+    g = build_clifford(chain(2), [FiniteAbelianGroup(k) for k in ([1], [2, 2], [1])], {})
+    assert isinstance(g, CliffordSemigroup)
+    assert g.generating_set() == (0, 3, 2, 5)
+    u, d = unit_and_diagonal(g)
+    left = {1: 1, 2: 1, 3: -1, 4: -1}
+    right = {1: 1, 2: -1, 3: -1, 4: 1}
+    bad = _perturbed(d, {(a, b): Fraction(x * y, 4)
+                         for a, x in left.items() for b, y in right.items()})
+    result = verify_diagonal(bad, u)
+    assert result == _first_failing_equation(bad, u)
+    assert result[1]["kind"] == "centrality"
+    assert result[1]["q"] == 2

@@ -2,9 +2,20 @@
 the exhaustive n <= 6 range."""
 
 import random
+from itertools import islice
 
-from semiam.clifford import FiniteAbelianGroup, build_clifford, collapse, diagonal_solve
+from semiam.clifford import (
+    CliffordSemigroup,
+    FiniteAbelianGroup,
+    build_clifford,
+    collapse,
+    clifford_unit_from_skeleton,
+    diagonal_closed_form,
+    diagonal_solve,
+    unit_solve,
+)
 from semiam.diagonal import diagonal_recursive, unit, verify_diagonal
+from semiam.enumeration import _systems_for, enumerate_semilattices
 from semiam.moebius import diagonal_via_mobius
 from semiam.semilattice import Semilattice, validate
 
@@ -30,3 +41,26 @@ def test_engines_agree_on_random_families_up_to_128():
         if n <= 10:
             trivial = build_clifford(s, [FiniteAbelianGroup([1])] * n, {})
             assert collapse(diagonal_solve(trivial)) == d
+
+
+def test_clifford_engines_agree_on_random_block_systems():
+    rng = random.Random(47)
+    skeletons = [s for size in range(1, 6) for s in enumerate_semilattices(size)]
+    blocks = [[1], [2], [3], [4], [2, 2]]
+    solved = 0
+    for _ in range(30):
+        skel = rng.choice(skeletons)
+        groups = [FiniteAbelianGroup(rng.choice(blocks)) for _ in range(skel.n)]
+        homs = rng.choice(list(islice(_systems_for(skel, groups), 50)))
+        g = build_clifford(skel, groups, homs)
+        assert isinstance(g, CliffordSemigroup)
+        u, d = clifford_unit_from_skeleton(g), diagonal_closed_form(g)
+        assert verify_diagonal(d, u) == (True, None)
+        if g.n <= 16:
+            solved += 1
+            assert u == unit_solve(g)
+            assert d == diagonal_solve(g)
+        skel_d = diagonal_recursive(skel)
+        assert collapse(d) == skel_d
+        assert d.am() >= skel_d.am()
+    assert solved >= 10

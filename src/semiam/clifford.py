@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iproduct
 from math import lcm
 
 from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
@@ -47,8 +46,10 @@ class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
     Elements are indexed 0..order-1 in lexicographic digit order, so the
-    identity (all zeros) is index 0.  The addition and inverse tables are
-    built once here; add and inverse look them up.
+    identity (all zeros) is index 0.  A group stores only its factor
+    orders: one shared by many Clifford instances holds no order^2 table
+    between them, and listing the gap-search family costs nothing per
+    element.
     """
 
     def __init__(self, cyclic_orders):
@@ -56,37 +57,46 @@ class FiniteAbelianGroup:
         if any(k < 1 for k in orders):
             raise ValueError("cyclic factor orders must be positive")
         self.cyclic_orders = orders
-        self._tuples = list(iproduct(*(range(k) for k in orders)))
-        self.order = len(self._tuples)
-        # index of (d, rest) is d * |rest| + index of rest: build both
-        # tables from the last factor outward
-        sums, negatives = [[0]], [0]
-        for k in reversed(orders):
-            m = len(negatives)
-            sums = [[(d + e) % k * m + h for e in range(k) for h in row]
-                    for d in range(k) for row in sums]
-            negatives = [-d % k * m + h for d in range(k) for h in negatives]
-        self.add_table = tuple(map(tuple, sums))
-        self.inverse_table = tuple(negatives)
+        self.order = 1
+        for k in orders:
+            self.order *= k
         # the generator of factor i has digit 1 there and 0 elsewhere
         self._generators = tuple(
             self.index([int(pos == i) for pos in range(len(orders))])
             for i, k in enumerate(orders) if k > 1)
 
+    def sum_table(self, offset: int) -> list:
+        """sum_table(offset)[i][j] is offset + the index of element i +
+        element j: the addition table, shifted to a block's element ids."""
+        # index of (d, rest) is d * |rest| + index of rest: build from the
+        # last factor outward
+        sums = [[offset]]
+        for k in reversed(self.cyclic_orders):
+            m = len(sums)
+            sums = [[(d + e) % k * m + h for e in range(k) for h in row]
+                    for d in range(k) for row in sums]
+        return sums
+
+    def inverses(self) -> list:
+        """inverses()[i] is the index of -element i."""
+        negatives = [0]
+        for k in reversed(self.cyclic_orders):
+            m = len(negatives)
+            negatives = [-d % k * m + h for d in range(k) for h in negatives]
+        return negatives
+
     def element(self, i: int) -> tuple:
-        return self._tuples[i]
+        digits = []
+        for k in reversed(self.cyclic_orders):
+            i, d = divmod(i, k)
+            digits.append(d)
+        return tuple(reversed(digits))
 
     def index(self, digits) -> int:
         i = 0
         for d, k in zip(digits, self.cyclic_orders):
             i = i * k + d % k
         return i
-
-    def add(self, i: int, j: int) -> int:
-        return self.add_table[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self.inverse_table[i]
 
     def generators(self) -> tuple:
         """One generator index per nontrivial cyclic factor."""
@@ -100,26 +110,30 @@ class ConnectingHom:
     """Homomorphism between two finite abelian groups, by generator images.
 
     gen_images[i] is the digit tuple in the target that the i-th cyclic
-    generator of the source maps to.  images[x] is the target index of the
-    image of source element x, computed once here; it means something only
-    once check() passes.
+    generator of the source maps to.
     """
 
     def __init__(self, source: FiniteAbelianGroup, target: FiniteAbelianGroup, gen_images):
         self.source = source
         self.target = target
         self.gen_images = tuple(tuple(int(d) for d in img) for img in gen_images)
-        # source element (d, rest) maps to d times the first generator's
-        # image plus the image of rest: grow from the last factor outward
-        add = target.add_table
-        images = [0]
-        for k, img in zip(reversed(source.cyclic_orders), reversed(self.gen_images)):
-            step = target.index(img)
-            multiples = [0]
-            for _ in range(k - 1):
-                multiples.append(add[multiples[-1]][step])
-            images = [add[a][b] for a in multiples for b in images]
-        self.images = tuple(images)
+        self._images = None
+
+    @property
+    def images(self) -> tuple:
+        """images[x] is the target index of the image of source element x,
+        computed on first use and kept; it means something only once
+        check() passes."""
+        if self._images is None:
+            # source element (d, rest) maps to d times the first
+            # generator's image plus the image of rest, digit-wise (index
+            # reduces mod the target orders): grow from the last factor
+            images = [[0] * len(self.target.cyclic_orders)]
+            for k, img in zip(reversed(self.source.cyclic_orders), reversed(self.gen_images)):
+                images = [[d * v + w for v, w in zip(img, rest)]
+                          for d in range(k) for rest in images]
+            self._images = tuple(map(self.target.index, images))
+        return self._images
 
     @classmethod
     def trivial(cls, source, target):
@@ -143,9 +157,6 @@ class ConnectingHom:
                     return f"generator {i} image order"
         return None
 
-    def apply(self, x: int) -> int:
-        return self.images[x]
-
     @classmethod
     def compose(cls, first: "ConnectingHom", second: "ConnectingHom") -> "ConnectingHom":
         """second after first (first.target must be second.source)."""
@@ -154,9 +165,6 @@ class ConnectingHom:
             for img in first.gen_images
         ]
         return cls(first.source, second.target, images)
-
-    def same_map(self, other: "ConnectingHom") -> bool:
-        return self.images == other.images
 
 
 class CliffordSemigroup:
@@ -186,8 +194,7 @@ class CliffordSemigroup:
         self._images = {pair: hom.images for pair, hom in self.homs.items()}
         self._images.update(((s, s), range(g.order)) for s, g in enumerate(self.groups))
         # sums[r][a][b] = id of a + b in block r
-        sums = [[[offset[r] + v for v in row] for row in g.add_table]
-                for r, g in enumerate(self.groups)]
+        sums = [g.sum_table(offset[r]) for r, g in enumerate(self.groups)]
         table = []
         for sx in blocks:
             meets = skeleton.table[sx]
@@ -292,7 +299,7 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     def intransitive(triples):
         # phi_{s,t} after phi_{r,s} must be phi_{r,t}
         return [Violation("hom_transitive", (r, s, t)) for r, s, t in triples
-                if tuple(map(full[(s, t)].images.__getitem__, full[(r, s)].images))
+                if ConnectingHom.compose(full[(r, s)], full[(s, t)]).images
                 != full[(r, t)].images]
 
     # Transitivity through every lower cover s of r gives it through every
@@ -393,7 +400,7 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
         lifted = [[(g.offset[f] + g._push(e, f, x), m) for f, m in support]
                   for x in range(group.order)]
         terms += [(den // group.order, lifted[x], lifted[y])
-                  for x, y in enumerate(group.inverse_table)]
+                  for x, y in enumerate(group.inverses())]
     return DiagonalTensor(g, outer_product_sum(g.n, terms), den)
 
 
@@ -487,21 +494,22 @@ def collapse(d: DiagonalTensor) -> DiagonalTensor:
     return DiagonalTensor(skel, rows, d.den)
 
 
-def _element_count(orders) -> int:
-    """The element count sum |G_e| of the blocks with these cyclic orders.
+def _oversized_block(orders):
+    """The index of the block at which the element count sum |G_e| of the
+    blocks with these cyclic orders first passes MAX_ELEMENTS, or None.
 
-    Counting stops at the first factor that takes the count past
-    MAX_ELEMENTS, so a huge order list costs no big-number arithmetic.
+    Counting stops there, so a huge order list costs no big-number
+    arithmetic, and the witness is always a small number.
     """
     count = 0
-    for entry in orders:
+    for i, entry in enumerate(orders):
         order = 1
         for k in entry:
             order *= k
             if count + order > MAX_ELEMENTS:
-                return count + order
+                return i
         count += order
-    return count
+    return None
 
 
 def from_json_dict(obj):
@@ -510,8 +518,8 @@ def from_json_dict(obj):
     Returns CliffordSemigroup or ValidationReport.  Group entries look like
     {"cyclic": [2]} (or a bare order list); hom entries are
     {"from": s, "to": t, "gen_images": [[...], ...]}.  More than
-    MAX_ELEMENTS elements in all is a "size" violation, found before any
-    group is built.
+    MAX_ELEMENTS elements in all is a "size" violation at the block that
+    passes the bound, found before any group is built.
     """
     from .semilattice import from_json_dict as skel_from_json
 
@@ -532,9 +540,9 @@ def from_json_dict(obj):
         ):
             return ValidationReport(False, [Violation("group", (i,))])
         orders.append(entry)
-    count = _element_count(orders)
-    if count > MAX_ELEMENTS:
-        return ValidationReport(False, [Violation("size", (count,))])
+    block = _oversized_block(orders)
+    if block is not None:
+        return ValidationReport(False, [Violation("size", (block,))])
     groups = [FiniteAbelianGroup(entry) for entry in orders]
     raw_homs = obj.get("homs") or []
     if not isinstance(raw_homs, list):

@@ -291,7 +291,7 @@ def _systems_for(skeleton: Semilattice, groups):
                 via = ConnectingHom.compose(homs[(s, r)], homs[(r, t)])
                 if candidate is None:
                     candidate = via
-                elif not candidate.same_map(via):
+                elif candidate.images != via.images:
                     consistent = False
                     break
             if not consistent:
@@ -309,27 +309,14 @@ class InstanceLimitError(ValueError):
         self.limit = limit
 
 
-def _cyclic_groups(max_cyclic_order: int) -> tuple:
-    """Z_k at index k, for k = 1..max_cyclic_order (index 0 is unused)."""
-    return (None,) + tuple(
-        FiniteAbelianGroup([k]) for k in range(1, max_cyclic_order + 1)
-    )
-
-
 def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
-                  instance_limit: int = 20000, cyclic: tuple = None) -> list:
-    """Every Clifford instance in the search family, in deterministic order.
-
-    cyclic: Z_k at index k, as _cyclic_groups builds it, when the caller
-    shares the groups; built here otherwise.
-    """
-    if cyclic is None:
-        cyclic = _cyclic_groups(max_cyclic_order)
+                  instance_limit: int = 20000) -> list:
+    """Every Clifford instance in the search family, in deterministic order."""
     instances = []
     for size in range(1, skeleton_max_size + 1):
         for skel in enumerate_semilattices(size):
             for orders in iproduct(range(1, max_cyclic_order + 1), repeat=size):
-                groups = [cyclic[k] for k in orders]
+                groups = [FiniteAbelianGroup([k]) for k in orders]
                 for homs in _systems_for(skel, groups):
                     packed = tuple(
                         sorted(
@@ -350,8 +337,14 @@ def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     return instances
 
 
-def _solve_gap_instance(inst: GapInstance, skel: Semilattice, cyclic: tuple) -> Fraction:
-    groups = [cyclic[k] for k in inst.orders]
+def _solve_gap_instance(inst: GapInstance, skel: Semilattice, cyclic: dict) -> Fraction:
+    """cyclic maps k to Z_k, shared by every instance of the search; a
+    missing group is built here."""
+    groups = []
+    for k in inst.orders:
+        if k not in cyclic:
+            cyclic[k] = FiniteAbelianGroup([k])
+        groups.append(cyclic[k])
     hom_spec = {(s, t): imgs for (s, t, imgs) in inst.homs}
     built = build_clifford(skel, groups, hom_spec)
     if not isinstance(built, CliffordSemigroup):
@@ -367,9 +360,8 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     an amenability constant strictly between 5 and 9.  Each diagonal comes
     from the closed form and is verified before its constant is counted.
     """
-    cyclic = _cyclic_groups(max_cyclic_order)
-    instances = gap_instances(skeleton_max_size, max_cyclic_order,
-                              instance_limit, cyclic)
+    instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
+    cyclic: dict = {}
     skeletons: dict = {}
     counts: dict = {}
     violations = []

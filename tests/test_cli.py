@@ -276,6 +276,18 @@ def test_gap_search_instance_limit_exits_2(capsys):
     assert err == ""
 
 
+def test_oversized_search_family_exits_2_before_building_large_groups(capsys):
+    # 20000 instances pass the default limit with cyclic orders up to 5000;
+    # each group is built only when its instance comes up
+    code, payload, err = run_json(capsys, "gap-search", "--max-cyclic-order", "5000")
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "instance_limit", "witness": [20000]}],
+    }
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "argv, axiom, value",
     [
@@ -361,7 +373,7 @@ def test_clifford_input_above_the_size_bound_exits_2(capsys, monkeypatch, comman
     assert code == 2
     assert payload == {
         "ok": False,
-        "violations": [{"axiom": "size", "witness": [10 ** 9]}],
+        "violations": [{"axiom": "size", "witness": [0]}],
     }
     assert err == ""
 

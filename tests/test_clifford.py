@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -41,14 +42,16 @@ def frozen(rows):
 def test_group_structure():
     z4 = FiniteAbelianGroup([4])
     assert z4.order == 4
-    assert z4.add(1, 3) == 0
-    assert z4.inverse(1) == 3
+    assert z4.sum_table(0)[1][3] == 0
+    assert z4.inverses()[1] == 3
     klein = FiniteAbelianGroup([2, 2])
     assert klein.order == 4
     assert klein.element(3) == (1, 1)
-    assert klein.add(klein.index((1, 0)), klein.index((0, 1))) == klein.index((1, 1))
+    sums = klein.sum_table(0)
+    assert sums[klein.index((1, 0))][klein.index((0, 1))] == klein.index((1, 1))
     for x in range(4):
-        assert klein.add(x, x) == 0
+        assert sums[x][x] == 0
+    assert klein.sum_table(10)[1][2] == 10 + sums[1][2]
     assert z4.generators() == (1,)
     assert klein.generators() == (klein.index((1, 0)), klein.index((0, 1)))
 
@@ -65,7 +68,7 @@ def test_hom_validity_depends_on_orders():
     z4 = FiniteAbelianGroup([4])
     ok = ConnectingHom(z2, z4, [(2,)])
     assert ok.check() is None
-    assert ok.apply(1) == 2
+    assert ok.images[1] == 2
     bad = ConnectingHom(z2, z4, [(1,)])
     assert bad.check() is not None
 
@@ -90,9 +93,9 @@ def test_hom_compose_and_same_map():
     g = ConnectingHom(z4, z8, [(2,)])
     h = ConnectingHom.compose(f, g)
     assert h.source is z2 and h.target is z8
-    assert h.apply(1) == 4
-    assert h.same_map(ConnectingHom(z2, z8, [(4,)]))
-    assert not h.same_map(ConnectingHom(z2, z8, [(0,)]))
+    assert h.images[1] == 4
+    assert h.images == ConnectingHom(z2, z8, [(4,)]).images
+    assert h.images != ConnectingHom(z2, z8, [(0,)]).images
 
 
 def test_trivial_hom_kills_everything():
@@ -100,7 +103,7 @@ def test_trivial_hom_kills_everything():
     z2 = FiniteAbelianGroup([2])
     t = ConnectingHom.trivial(z4, z2)
     assert t.check() is None
-    assert all(t.apply(x) == 0 for x in range(4))
+    assert t.images == (0, 0, 0, 0)
 
 
 def test_build_rejects_invalid_hom():
@@ -357,15 +360,17 @@ def digits_index(group, digits):
 @pytest.mark.parametrize("orders", TABLE_ORDERS, ids=str)
 def test_group_tables_are_digitwise_modular_arithmetic(orders):
     group = FiniteAbelianGroup(orders)
-    assert group.order == len(group.add_table) == len(group.inverse_table)
+    sums, inverses = group.sum_table(0), group.inverses()
+    assert group.order == len(sums) == len(inverses)
     for x in range(group.order):
         a = group.element(x)
         assert group.index(a) == x
-        assert group.element(group.inverse_table[x]) == tuple(
+        assert group.element(inverses[x]) == tuple(
             -d % k for d, k in zip(a, orders))
+        assert len(sums[x]) == group.order
         for y in range(group.order):
             b = group.element(y)
-            assert group.element(group.add_table[x][y]) == tuple(
+            assert group.element(sums[x][y]) == tuple(
                 (d + e) % k for d, e, k in zip(a, b, orders))
 
 
@@ -386,12 +391,11 @@ def test_hom_images_follow_the_digit_formula():
                         out = [o + d * v for o, v in zip(out, img)]
                     expected.append(digits_index(target, out))
                 assert hom.images == tuple(expected)
-                assert [hom.apply(x) for x in range(source.order)] == expected
 
 
 def reference_intransitive(skeleton, groups, homs):
     """Every (r, s, t) with phi_{r,t} != phi_{s,t} phi_{r,s}, one triple at
-    a time through compose and same_map."""
+    a time through compose, comparing images."""
     full = {}
     for s in range(skeleton.n):
         for t in skeleton.strictly_below[s]:
@@ -402,7 +406,7 @@ def reference_intransitive(skeleton, groups, homs):
             for r in range(skeleton.n)
             for s in skeleton.strictly_below[r]
             for t in skeleton.strictly_below[s]
-            if not ConnectingHom.compose(full[(r, s)], full[(s, t)]).same_map(full[(r, t)])]
+            if ConnectingHom.compose(full[(r, s)], full[(s, t)]).images != full[(r, t)].images]
 
 
 def test_transitivity_violations_match_the_full_walk():
@@ -445,16 +449,21 @@ def test_size_bound_rejects_before_any_group_is_built(monkeypatch):
     report = from_json_dict(
         {"skeleton": {"table": [[0]]}, "groups": [{"cyclic": [10 ** 9]}]})
     assert not isinstance(report, CliffordSemigroup)
-    assert [(v.axiom, v.witness) for v in report.violations] == [("size", (10 ** 9,))]
-    # the count sums over blocks; counting stops once it passes the bound
+    assert [(v.axiom, v.witness) for v in report.violations] == [("size", (0,))]
+    # the count sums over blocks; the witness is the block that passes the
+    # bound, and counting stops there
     two = {"n": 2, "hasse": [[0, 1]]}
     half = MAX_ELEMENTS // 2
     report = from_json_dict(
         {"skeleton": two, "groups": [{"cyclic": [half]}, {"cyclic": [half + 1]}]})
-    assert report.violations[0].witness == (MAX_ELEMENTS + 1,)
+    assert report.violations[0].witness == (1,)
     report = from_json_dict({"skeleton": two, "groups": [[1], [2] * 100000]})
-    k = next(k for k in range(64) if 1 + 2 ** k > MAX_ELEMENTS)
-    assert report.violations[0].witness == (1 + 2 ** k,)
+    assert report.violations[0].witness == (1,)
+    # a factor of 4300 digits after another block: the witness still prints
+    report = from_json_dict(
+        {"skeleton": two, "groups": [[2], [int("9" * 4300)]]})
+    assert json.dumps(report.to_json_dict()) == (
+        '{"ok": false, "violations": [{"axiom": "size", "witness": [1]}]}')
     # exactly at the bound the input goes on to build its groups
     with pytest.raises(GroupBuilt):
         from_json_dict({"skeleton": two, "groups": [[half], [MAX_ELEMENTS - half]]})

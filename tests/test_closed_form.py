@@ -42,10 +42,17 @@ def build_instance(inst) -> CliffordSemigroup:
 
 
 def per_cell_table(g: CliffordSemigroup) -> tuple:
-    """The reference: offset[r] + G_r.add(phi_{s,r}(x), phi_{t,r}(y)) for
-    x in block s, y in block t and r = s meet t, one cell at a time."""
+    """The reference: offset[r] + phi_{s,r}(x) + phi_{t,r}(y) for x in
+    block s, y in block t and r = s meet t, one cell at a time in digits,
+    with phi mapping each digit d_i of x to d_i * gen_images[i]."""
     def push(s, r, x):
-        return x if s == r else g.homs[(s, r)].apply(x)
+        digits = g.groups[s].element(x)
+        if s == r:
+            return digits
+        out = [0] * len(g.groups[r].cyclic_orders)
+        for d, img in zip(digits, g.homs[(s, r)].gen_images):
+            out = [o + d * v for o, v in zip(out, img)]
+        return out
 
     table = []
     for x in range(g.n):
@@ -54,7 +61,8 @@ def per_cell_table(g: CliffordSemigroup) -> tuple:
         for y in range(g.n):
             t, gy = g.block_of[y], g.member_of[y]
             r = g.skeleton.table[s][t]
-            row.append(g.offset[r] + g.groups[r].add(push(s, r, gx), push(t, r, gy)))
+            total = [a + b for a, b in zip(push(s, r, gx), push(t, r, gy))]
+            row.append(g.offset[r] + g.groups[r].index(total))
         table.append(tuple(row))
     return tuple(table)
 

@@ -128,6 +128,29 @@ def test_gap_instances_limit_guard():
         gap_instances(3, 4, instance_limit=10)
 
 
+def test_gap_search_builds_groups_only_as_instances_need_them(monkeypatch):
+    # Z_1..Z_6 give the six one-block instances that pass the limit of 5:
+    # no larger group may be built first
+    real = FiniteAbelianGroup.__init__
+
+    def bounded(self, cyclic_orders):
+        assert max(cyclic_orders) <= 6, f"Z_{max(cyclic_orders)} built ahead of the limit"
+        real(self, cyclic_orders)
+
+    monkeypatch.setattr(FiniteAbelianGroup, "__init__", bounded)
+    with pytest.raises(InstanceLimitError):
+        gap_search(1, 10 ** 5, instance_limit=5)
+
+
+def test_gap_instances_build_no_group_tables(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a group table was built during enumeration")
+
+    monkeypatch.setattr(FiniteAbelianGroup, "sum_table", refuse)
+    monkeypatch.setattr(FiniteAbelianGroup, "inverses", refuse)
+    assert len(gap_instances()) == 332
+
+
 def test_gap_search_instance_limit_names_the_limit():
     with pytest.raises(InstanceLimitError) as caught:
         gap_search(2, 2, instance_limit=6)

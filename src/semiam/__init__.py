@@ -32,7 +32,6 @@ from .clifford import (
     DiagonalSolveError,
     FiniteAbelianGroup,
     NotUnitalError,
-    am_constant,
     build_clifford,
     collapse,
     diagonal_closed_form,

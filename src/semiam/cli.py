@@ -72,7 +72,9 @@ def _load_json(arg: str):
             raise InputError(EXIT_IO, message=f"cannot read {arg}: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past the int-string
+        # digit limit; RecursionError, arrays nested too deep to decode
         raise _fail_invalid("json", str(exc))
 
 
@@ -299,11 +301,10 @@ def cmd_verify(args) -> tuple:
     if isinstance(base_obj, dict) and "skeleton" in base_obj:
         base = _clifford(base_obj)
         u = clifford_mod.clifford_unit_from_skeleton(base)
-        perm = list(range(base.n))
     else:
         base = _semilattice(base_obj)
         u = unit(base)
-        perm = list(base.canonical_perm)
+    perm = base.canonical_perm
     canon = _parse_matrix(obj["diagonal"], base.n)
     # input matrices are in canonical order; store back by element id
     entries = [[None] * base.n for _ in range(base.n)]

@@ -11,8 +11,8 @@ semilattices is the special case.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
 
 from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
@@ -255,35 +255,79 @@ class CliffordSemigroup:
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"
 
 
+def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> list:
+    """Every gen_images tuple of a homomorphism source -> target, in the
+    lexicographic order of the target's digit tuples."""
+    digits = [target.element(x) for x in range(target.order)]
+    return [imgs for imgs in product(digits, repeat=len(source.cyclic_orders))
+            if ConnectingHom(source, target, imgs).check() is None]
+
+
+def _intransitive(skeleton: Semilattice, homs: dict, every_triple=False):
+    """The triples (r, s, t), t < s < r, at which phi_{s,t} after phi_{r,s}
+    is not phi_{r,t}, for a full system of ConnectingHoms.
+
+    Only lower covers s of r are tried unless every_triple is set:
+    transitivity through every lower cover gives it through every s < r,
+    by induction on the interval [s, r].
+    """
+    below = skeleton.strictly_below
+    if every_triple:
+        triples = ((r, s, t) for r in range(skeleton.n)
+                   for s in below[r] for t in below[s])
+    else:
+        triples = ((r, s, t) for s, r in skeleton.hasse for t in below[s])
+    return ((r, s, t) for r, s, t in triples
+            if ConnectingHom.compose(homs[(r, s)], homs[(s, t)]).images
+            != homs[(r, t)].images)
+
+
+def hom_systems(skeleton: Semilattice, groups):
+    """Every transitive hom system over the skeleton, as {(s, t):
+    gen_images} for all strict pairs t < s.
+
+    Each cover pair takes a free choice from hom_choices; each longer pair
+    (s, t) is the composite through the first lower cover of s above t.  A
+    system is kept when it passes the transitivity check of build_clifford.
+    """
+    cover_pairs = [(b, a) for a, b in skeleton.hasse]  # hom source above
+    choice_lists = [[ConnectingHom(groups[s], groups[t], imgs)
+                     for imgs in hom_choices(groups[s], groups[t])]
+                    for s, t in cover_pairs]
+    # composites in canonical order, lowest level first, so that (r, t) is
+    # set before the composite (s, t) through the lower cover r needs it
+    composites = []
+    for s in skeleton.canonical_perm:
+        covers = [a for a, b in skeleton.hasse if b == s]
+        for t in skeleton.strictly_below[s]:
+            if t not in covers:
+                r = next(r for r in covers if skeleton.leq[t][r])
+                composites.append((s, r, t))
+    for combo in product(*choice_lists):
+        homs = dict(zip(cover_pairs, combo))
+        for s, r, t in composites:
+            homs[(s, t)] = ConnectingHom.compose(homs[(s, r)], homs[(r, t)])
+        if next(_intransitive(skeleton, homs), None) is None:
+            yield {pair: hom.gen_images for pair, hom in homs.items()}
+
+
 def build_clifford(skeleton: Semilattice, groups, homs=None):
     """Assemble and fully validate a Clifford semigroup.
 
-    groups: one FiniteAbelianGroup (or cyclic order list) per skeleton
-    element.  homs: mapping (s, t) -> gen_images for strict pairs t < s;
-    omitted pairs get the trivial homomorphism.  Returns the semigroup or a
-    ValidationReport naming the first offending axiom.
+    groups: one FiniteAbelianGroup per skeleton element.  homs: mapping
+    (s, t) -> gen_images for strict pairs t < s; omitted pairs get the
+    trivial homomorphism.  Returns the semigroup or a ValidationReport
+    naming the first offending axiom.
     """
     violations = []
     if len(groups) != skeleton.n:
         return ValidationReport(False, [Violation("groups", (len(groups),))])
-    gs = []
-    for i, g in enumerate(groups):
-        if isinstance(g, FiniteAbelianGroup):
-            gs.append(g)
-        else:
-            try:
-                gs.append(FiniteAbelianGroup(g))
-            except (ValueError, TypeError):
-                violations.append(Violation("group", (i,)))
-    if violations:
-        return ValidationReport(False, violations)
-    homs = dict(homs or {})
     full = {}
-    for (s, t), spec in homs.items():
+    for (s, t), gen_images in (homs or {}).items():
         if not (0 <= s < skeleton.n and 0 <= t < skeleton.n) or not skeleton.lt(t, s):
             violations.append(Violation("hom_pair", (s, t)))
             continue
-        hom = spec if isinstance(spec, ConnectingHom) else ConnectingHom(gs[s], gs[t], spec)
+        hom = ConnectingHom(groups[s], groups[t], gen_images)
         reason = hom.check()
         if reason is not None:
             violations.append(Violation("hom_invalid", (s, t, reason)))
@@ -294,24 +338,14 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     for s in range(skeleton.n):
         for t in skeleton.strictly_below[s]:
             if (s, t) not in full:
-                full[(s, t)] = ConnectingHom.trivial(gs[s], gs[t])
-
-    def intransitive(triples):
-        # phi_{s,t} after phi_{r,s} must be phi_{r,t}
-        return [Violation("hom_transitive", (r, s, t)) for r, s, t in triples
-                if ConnectingHom.compose(full[(r, s)], full[(s, t)]).images
-                != full[(r, t)].images]
-
-    # Transitivity through every lower cover s of r gives it through every
-    # s < r, by induction on the interval [s, r]; only a failure there
-    # walks every triple, to list the violations.
-    below = skeleton.strictly_below
-    if intransitive((r, s, t) for s, r in skeleton.hasse for t in below[s]):
-        violations = intransitive(
-            (r, s, t) for r in range(skeleton.n) for s in below[r] for t in below[s])
-    if violations:
-        return ValidationReport(False, violations)
-    semigroup = CliffordSemigroup(skeleton, gs, full)
+                full[(s, t)] = ConnectingHom.trivial(groups[s], groups[t])
+    # only a failure through the covers walks every triple, to list the
+    # violations
+    if next(_intransitive(skeleton, full), None) is not None:
+        return ValidationReport(False, [
+            Violation("hom_transitive", triple)
+            for triple in _intransitive(skeleton, full, every_triple=True)])
+    semigroup = CliffordSemigroup(skeleton, groups, full)
     n = semigroup.n
     table = semigroup.table
     # the first row that differs from its column differs only to the right
@@ -474,10 +508,6 @@ def diagonal_solve(g: CliffordSemigroup) -> DiagonalTensor:
     if not ok:
         raise DiagonalSolveError(f"solved tensor fails verification: {witness}")
     return d
-
-
-def am_constant(g: CliffordSemigroup) -> Fraction:
-    return unit_and_diagonal(g)[1].am()
 
 
 def collapse(d: DiagonalTensor) -> DiagonalTensor:

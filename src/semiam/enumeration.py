@@ -15,10 +15,10 @@ from itertools import permutations, product as iproduct
 
 from .clifford import (
     CliffordSemigroup,
-    ConnectingHom,
     FiniteAbelianGroup,
-    am_constant,
     build_clifford,
+    hom_systems,
+    unit_and_diagonal,
 )
 from .diagonal import diagonal_recursive
 from .exactlinalg import rat_str
@@ -191,25 +191,27 @@ def spectrum(max_size: int) -> SpectrumReport:
 
 
 class GapInstance:
-    """One search instance; gap_search sets am once it is solved."""
+    """One search instance: a skeleton, one cyclic group per element, and
+    homs[(s, t)] = gen_images for every strict pair t < s.  gap_search sets
+    am once it is solved."""
 
-    def __init__(self, skeleton_table: tuple, orders: tuple, homs: tuple,
-                 size: int, am: Fraction | None = None):
-        self.skeleton_table = skeleton_table
-        self.orders = orders
-        self.homs = homs  # ((s, t, gen_images), ...) for all strict pairs
-        self.size = size
-        self.am = am
+    __slots__ = ("skeleton", "groups", "homs", "am")
+
+    def __init__(self, skeleton: Semilattice, groups: tuple, homs: dict):
+        self.skeleton = skeleton
+        self.groups = groups
+        self.homs = homs
+        self.am = None
 
     def to_json_dict(self):
         return {
-            "skeleton_table": [list(r) for r in self.skeleton_table],
-            "orders": list(self.orders),
+            "skeleton_table": [list(r) for r in self.skeleton.table],
+            "orders": [g.order for g in self.groups],
             "homs": [
                 {"from": s, "to": t, "gen_images": [list(i) for i in imgs]}
-                for (s, t, imgs) in self.homs
+                for (s, t), imgs in sorted(self.homs.items())
             ],
-            "size": self.size,
+            "size": sum(g.order for g in self.groups),
             "am": None if self.am is None else rat_str(self.am),
         }
 
@@ -242,65 +244,6 @@ class GapReport:
         }
 
 
-def _hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup):
-    """All gen_images tuples for homomorphisms source -> target."""
-    per_gen = []
-    for a in source.cyclic_orders:
-        valid = []
-        for x in range(target.order):
-            digits = target.element(x)
-            if all((a * d) % k == 0 for d, k in zip(digits, target.cyclic_orders)):
-                valid.append(digits)
-        per_gen.append(valid)
-    return [tuple(choice) for choice in iproduct(*per_gen)]
-
-
-def _systems_for(skeleton: Semilattice, groups):
-    """Consistent full hom systems, enumerated over free cover choices.
-
-    Only cover pairs are free; every longer pair is a composite, and when a
-    pair can be composed along different covers all paths must agree.
-    """
-    cover_pairs = [(b, a) for (a, b) in skeleton.hasse]  # hom source above
-    strict_pairs = sorted(
-        (
-            (s, t)
-            for s in range(skeleton.n)
-            for t in skeleton.strictly_below[s]
-        ),
-        key=lambda p: (skeleton.level[p[0]], p[0], p[1]),
-    )
-    choice_lists = [
-        _hom_choices(groups[s], groups[t]) for (s, t) in cover_pairs
-    ]
-    lower_covers = {
-        s: [a for (a, b) in skeleton.hasse if b == s] for s in range(skeleton.n)
-    }
-    for combo in iproduct(*choice_lists):
-        homs = {}
-        for (pair, imgs) in zip(cover_pairs, combo):
-            homs[pair] = ConnectingHom(groups[pair[0]], groups[pair[1]], imgs)
-        consistent = True
-        for (s, t) in strict_pairs:
-            if (s, t) in homs:
-                continue
-            candidate = None
-            for r in lower_covers[s]:
-                if not skeleton.leq[t][r]:
-                    continue
-                via = ConnectingHom.compose(homs[(s, r)], homs[(r, t)])
-                if candidate is None:
-                    candidate = via
-                elif candidate.images != via.images:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-            homs[(s, t)] = candidate
-        if consistent:
-            yield homs
-
-
 class InstanceLimitError(ValueError):
     """The gap search family is larger than the caller allowed."""
 
@@ -309,47 +252,38 @@ class InstanceLimitError(ValueError):
         self.limit = limit
 
 
+def _order_tuples(max_order: int, size: int):
+    """iproduct(range(1, max_order + 1), repeat=size), without first
+    storing the range as a tuple, which a huge max_order cannot afford."""
+    if size == 0:
+        yield ()
+        return
+    for k in range(1, max_order + 1):
+        for rest in _order_tuples(max_order, size - 1):
+            yield (k,) + rest
+
+
 def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
                   instance_limit: int = 20000) -> list:
-    """Every Clifford instance in the search family, in deterministic order."""
+    """Every Clifford instance in the search family, in deterministic order.
+
+    Z_k is built once, when the first order tuple holding k comes up, and
+    every instance over the same order tuple shares one groups tuple.
+    """
+    cyclic = {}
     instances = []
     for size in range(1, skeleton_max_size + 1):
         for skel in enumerate_semilattices(size):
-            for orders in iproduct(range(1, max_cyclic_order + 1), repeat=size):
-                groups = [FiniteAbelianGroup([k]) for k in orders]
-                for homs in _systems_for(skel, groups):
-                    packed = tuple(
-                        sorted(
-                            (s, t, homs[(s, t)].gen_images)
-                            for (s, t) in homs
-                        )
-                    )
-                    instances.append(
-                        GapInstance(
-                            skeleton_table=skel.table,
-                            orders=orders,
-                            homs=packed,
-                            size=sum(orders),
-                        )
-                    )
+            for orders in _order_tuples(max_cyclic_order, size):
+                for k in orders:
+                    if k not in cyclic:
+                        cyclic[k] = FiniteAbelianGroup([k])
+                groups = tuple(map(cyclic.__getitem__, orders))
+                for homs in hom_systems(skel, groups):
+                    instances.append(GapInstance(skel, groups, homs))
                     if len(instances) > instance_limit:
                         raise InstanceLimitError(instance_limit)
     return instances
-
-
-def _solve_gap_instance(inst: GapInstance, skel: Semilattice, cyclic: dict) -> Fraction:
-    """cyclic maps k to Z_k, shared by every instance of the search; a
-    missing group is built here."""
-    groups = []
-    for k in inst.orders:
-        if k not in cyclic:
-            cyclic[k] = FiniteAbelianGroup([k])
-        groups.append(cyclic[k])
-    hom_spec = {(s, t): imgs for (s, t, imgs) in inst.homs}
-    built = build_clifford(skel, groups, hom_spec)
-    if not isinstance(built, CliffordSemigroup):
-        raise RuntimeError(f"search instance failed validation: {built}")
-    return am_constant(built)
 
 
 def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
@@ -357,19 +291,18 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     """Solve every instance in the family and report the AM multiset.
 
     The point: no commutative Clifford semigroup algebra in this family has
-    an amenability constant strictly between 5 and 9.  Each diagonal comes
-    from the closed form and is verified before its constant is counted.
+    an amenability constant strictly between 5 and 9.  Each instance is
+    built and validated in full, and each diagonal comes from the closed
+    form and is verified before its constant is counted.
     """
     instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
-    cyclic: dict = {}
-    skeletons: dict = {}
     counts: dict = {}
     violations = []
     for inst in instances:
-        table = inst.skeleton_table
-        if table not in skeletons:
-            skeletons[table] = Semilattice(table)
-        am = _solve_gap_instance(inst, skeletons[table], cyclic)
+        built = build_clifford(inst.skeleton, inst.groups, inst.homs)
+        if not isinstance(built, CliffordSemigroup):
+            raise RuntimeError(f"search instance failed validation: {built}")
+        am = unit_and_diagonal(built)[1].am()
         inst.am = am
         counts[am] = counts.get(am, 0) + 1
         if Fraction(5) < am < Fraction(9):

@@ -288,6 +288,17 @@ def test_oversized_search_family_exits_2_before_building_large_groups(capsys):
     assert err == ""
 
 
+def test_a_huge_max_cyclic_order_exits_2_at_the_instance_limit(capsys):
+    code, payload, err = run_json(
+        capsys, "gap-search", "--max-cyclic-order", "1000000000000", "--limit", "5")
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "instance_limit", "witness": [5]}],
+    }
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "argv, axiom, value",
     [
@@ -469,6 +480,24 @@ def test_bad_json_exits_2(capsys):
     code, payload, _ = run_json(capsys, "validate", "{not json")
     assert code == 2
     assert payload["violations"][0]["axiom"] == "json"
+
+
+def test_integer_past_the_digit_limit_exits_2(capsys):
+    # json.loads raises ValueError, not JSONDecodeError, past 4300 digits
+    doc = '{"n": 1' + "0" * 4399 + ', "hasse": []}'
+    code, payload, err = run_json(capsys, "validate", doc)
+    assert code == 2
+    assert payload["violations"][0]["axiom"] == "json"
+    assert err == ""
+
+
+def test_nesting_too_deep_to_decode_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"table": ' + "[" * 200000 + "}")
+    code, payload, err = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert payload["violations"][0]["axiom"] == "json"
+    assert err == ""
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -18,10 +20,12 @@ from semiam.clifford import (
     collapse,
     diagonal_solve,
     from_json_dict,
+    hom_choices,
+    hom_systems,
     unit_solve,
 )
 from semiam.diagonal import diagonal_recursive, verify_diagonal
-from semiam.enumeration import _hom_choices
+from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import chain, flat_with_top, from_hasse
 
 G2_MATRIX = (
@@ -380,7 +384,7 @@ def test_hom_images_follow_the_digit_formula():
     groups = [FiniteAbelianGroup(orders) for orders in TABLE_ORDERS]
     for source in groups:
         for target in groups:
-            choices = _hom_choices(source, target)
+            choices = hom_choices(source, target)
             for imgs in rng.sample(choices, min(4, len(choices))):
                 hom = ConnectingHom(source, target, imgs)
                 assert hom.check() is None
@@ -420,7 +424,7 @@ def test_transitivity_violations_match_the_full_walk():
         for s in range(skel.n):
             for t in skel.strictly_below[s]:
                 if rng.random() < 0.6:
-                    homs[(s, t)] = rng.choice(_hom_choices(groups[s], groups[t]))
+                    homs[(s, t)] = rng.choice(hom_choices(groups[s], groups[t]))
         expected = reference_intransitive(skel, groups, homs)
         built = build_clifford(skel, groups, homs)
         if expected:
@@ -431,6 +435,35 @@ def test_transitivity_violations_match_the_full_walk():
         else:
             assert isinstance(built, CliffordSemigroup)
     assert 10 < rejected < 60
+
+
+def test_hom_systems_are_exactly_the_assignments_build_clifford_accepts():
+    # every hom_choices tuple on every strict pair, over every skeleton of
+    # size 2 to 4 with seeded blocks: hom_systems must list each accepted
+    # assignment once, and nothing else
+    rng = random.Random(1)
+    blocks = [[1], [2], [3], [4], [2, 2]]
+    configurations = assignments = rejected = 0
+    for size in range(2, 5):
+        for skeleton in enumerate_semilattices(size):
+            for _ in range(6):
+                groups = [FiniteAbelianGroup(rng.choice(blocks)) for _ in range(size)]
+                pairs = [(s, t) for s in range(size) for t in skeleton.strictly_below[s]]
+                choices = [hom_choices(groups[s], groups[t]) for s, t in pairs]
+                total = prod(map(len, choices))
+                if total > 4000:
+                    continue
+                accepted = {combo for combo in product(*choices) if isinstance(
+                    build_clifford(skeleton, groups, dict(zip(pairs, combo))),
+                    CliffordSemigroup)}
+                listed = [tuple(homs[pair] for pair in pairs)
+                          for homs in hom_systems(skeleton, groups)]
+                assert len(set(listed)) == len(listed)
+                assert set(listed) == accepted
+                configurations += 1
+                assignments += total
+                rejected += total - len(accepted)
+    assert (configurations, assignments, rejected) == (45, 2722, 2216)
 
 
 class GroupBuilt(Exception):

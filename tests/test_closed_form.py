@@ -12,11 +12,11 @@ from semiam.clifford import (
     DiagonalSolveError,
     FiniteAbelianGroup,
     NotUnitalError,
-    am_constant,
     build_clifford,
     clifford_unit_from_skeleton,
     diagonal_closed_form,
     diagonal_solve,
+    hom_systems,
     unit_and_diagonal,
     unit_solve,
 )
@@ -26,17 +26,15 @@ from semiam.diagonal import (
     unit,
     verify_diagonal,
 )
-from semiam.enumeration import _systems_for, enumerate_semilattices, gap_instances
+from semiam.enumeration import enumerate_semilattices, gap_instances
 from semiam.moebius import diagonal_via_mobius
-from semiam.semilattice import Semilattice, chain, flat, flat_with_top
+from semiam.semilattice import chain, flat, flat_with_top
 
 from test_clifford import G2_MATRIX, frozen
 
 
 def build_instance(inst) -> CliffordSemigroup:
-    groups = [FiniteAbelianGroup([k]) for k in inst.orders]
-    homs = {(s, t): imgs for (s, t, imgs) in inst.homs}
-    g = build_clifford(Semilattice(inst.skeleton_table), groups, homs)
+    g = build_clifford(inst.skeleton, inst.groups, inst.homs)
     assert isinstance(g, CliffordSemigroup)
     return g
 
@@ -104,7 +102,7 @@ def test_closed_form_matches_solver_on_non_cyclic_blocks(skeleton, block):
         patterns.append([block] * skeleton.n)
     for orders in patterns:
         groups = [FiniteAbelianGroup(k) for k in orders]
-        systems = list(_systems_for(skeleton, groups))
+        systems = list(hom_systems(skeleton, groups))
         for homs in rng.sample(systems, min(3, len(systems))):
             g = build_clifford(skeleton, groups, homs)
             assert isinstance(g, CliffordSemigroup)
@@ -152,7 +150,7 @@ def test_seven_element_golden():
 
 def test_am_family_closed_form():
     for n in range(2, 9):
-        assert am_constant(make_g(n)) == 41 + Fraction(4 * (n - 1), n)
+        assert unit_and_diagonal(make_g(n))[1].am() == 41 + Fraction(4 * (n - 1), n)
 
 
 def _first_failing_equation(d: DiagonalTensor, u: tuple):
@@ -337,7 +335,7 @@ def small_block_systems():
                 patterns.append([block] * skeleton.n)
             for orders in patterns:
                 groups = [FiniteAbelianGroup(k) for k in orders]
-                systems = list(_systems_for(skeleton, groups))
+                systems = list(hom_systems(skeleton, groups))
                 for homs in rng.sample(systems, min(3, len(systems))):
                     yield build_clifford(skeleton, groups, homs)
 

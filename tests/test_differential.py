@@ -12,10 +12,11 @@ from semiam.clifford import (
     clifford_unit_from_skeleton,
     diagonal_closed_form,
     diagonal_solve,
+    hom_systems,
     unit_solve,
 )
 from semiam.diagonal import diagonal_recursive, unit, verify_diagonal
-from semiam.enumeration import _systems_for, enumerate_semilattices
+from semiam.enumeration import enumerate_semilattices
 from semiam.moebius import diagonal_via_mobius
 from semiam.semilattice import Semilattice, validate
 
@@ -51,7 +52,7 @@ def test_clifford_engines_agree_on_random_block_systems():
     for _ in range(30):
         skel = rng.choice(skeletons)
         groups = [FiniteAbelianGroup(rng.choice(blocks)) for _ in range(skel.n)]
-        homs = rng.choice(list(islice(_systems_for(skel, groups), 50)))
+        homs = rng.choice(list(islice(hom_systems(skel, groups), 50)))
         g = build_clifford(skel, groups, homs)
         assert isinstance(g, CliffordSemigroup)
         u, d = clifford_unit_from_skeleton(g), diagonal_closed_form(g)

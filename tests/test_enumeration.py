@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import are_isomorphic, enumerate_brute, enumerate_by_families
-from semiam.clifford import FiniteAbelianGroup
+from semiam.clifford import FiniteAbelianGroup, hom_systems
 from semiam.enumeration import (
     InstanceLimitError,
-    _systems_for,
     canonical_table,
     enumerate_by_extension,
     enumerate_semilattices,
@@ -109,7 +110,7 @@ def test_spectrum_json_shape():
 
 def test_hom_system_counts_on_a_chain():
     groups = [FiniteAbelianGroup([4])] * 3
-    systems = list(_systems_for(chain(2), groups))
+    systems = list(hom_systems(chain(2), groups))
     # two free cover maps, four choices each; composite pairs are derived
     assert len(systems) == 16
     for homs in systems:
@@ -119,7 +120,9 @@ def test_hom_system_counts_on_a_chain():
 def test_gap_instance_count_default_family():
     instances = gap_instances()
     assert len(instances) == 332
-    keys = [(inst.skeleton_table, inst.orders, inst.homs) for inst in instances]
+    keys = [(inst.skeleton.table, tuple(g.order for g in inst.groups),
+             tuple(sorted(inst.homs.items())))
+            for inst in instances]
     assert len(set(keys)) == 332
 
 
@@ -140,6 +143,31 @@ def test_gap_search_builds_groups_only_as_instances_need_them(monkeypatch):
     monkeypatch.setattr(FiniteAbelianGroup, "__init__", bounded)
     with pytest.raises(InstanceLimitError):
         gap_search(1, 10 ** 5, instance_limit=5)
+
+
+def test_a_huge_max_cyclic_order_reaches_the_instance_limit():
+    # the order tuples are listed lazily: 10^12 cyclic orders are never
+    # stored, and Z_6 gives the instance past the limit
+    with pytest.raises(InstanceLimitError) as caught:
+        gap_search(1, 10 ** 12, instance_limit=5)
+    assert caught.value.limit == 5
+
+
+# SHA-256 of the JSON listing of two search families: gap-search prints
+# only the AM counts, so a changed family could pass its output pins
+GAP_LISTING_SHA256 = [
+    ((3, 4), 332, "d6bcd7405b86dc475b4ed7af56f8aac77a4b0f6bb3957b5aadbfa3ef6c5ec1f6"),
+    ((4, 3), 1213, "bf1f8bbcafdc0329cf6219b4d1292399dbb086141cce2601a1ea1aff7e6e4b13"),
+]
+
+
+@pytest.mark.parametrize("args, count, digest", GAP_LISTING_SHA256,
+                         ids=[str(a) for a, _, _ in GAP_LISTING_SHA256])
+def test_gap_instance_listing_is_pinned(args, count, digest):
+    instances = gap_instances(*args)
+    assert len(instances) == count
+    listing = json.dumps([inst.to_json_dict() for inst in instances], sort_keys=True)
+    assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
 
 def test_gap_instances_build_no_group_tables(monkeypatch):
@@ -178,14 +206,14 @@ def test_gap_search_small_family_golden():
 def test_gap_instance_json_shape():
     inst = gap_instances(2, 2)[-1]
     payload = inst.to_json_dict()
-    assert payload["orders"] == list(inst.orders)
-    assert payload["size"] == sum(inst.orders)
+    assert payload["orders"] == [g.order for g in inst.groups]
+    assert payload["size"] == sum(payload["orders"])
     assert payload["am"] is None
 
 
 def test_gap_search_sizes_cover_the_family():
     instances = gap_instances(2, 3)
-    sizes = Counter(inst.size for inst in instances)
+    sizes = Counter(sum(g.order for g in inst.groups) for inst in instances)
     # point skeleton: one instance per order.  chain skeleton: gcd(k1, k0)
     # hom systems per order pair, summing to 12.
     assert sum(sizes.values()) == 3 + 12

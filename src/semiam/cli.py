@@ -225,7 +225,7 @@ def cmd_product(args) -> tuple:
 def cmd_clifford(args) -> tuple:
     g = _clifford(_load_json(args.input))
     u, d = clifford_mod.unit_and_diagonal(g)
-    skel_d = diagonal_recursive(g.skeleton)
+    skel_d = diagonal_via_mobius(g.skeleton)
     collapsed = clifford_mod.collapse(d)
     am = d.am()
     skel_am = skel_d.am()

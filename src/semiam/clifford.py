@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import itemgetter
 
 from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
@@ -135,6 +136,12 @@ class ConnectingHom:
             self._images = tuple(map(self.target.index, images))
         return self._images
 
+    @cached_property
+    def gen_indices(self) -> tuple:
+        """The target index of each generator image, digits reduced: two
+        valid homs between the same groups are equal iff these are."""
+        return tuple(map(self.target.index, self.gen_images))
+
     @classmethod
     def trivial(cls, source, target):
         img = tuple([0] * len(target.cyclic_orders) for _ in source.cyclic_orders)
@@ -160,11 +167,13 @@ class ConnectingHom:
     @classmethod
     def compose(cls, first: "ConnectingHom", second: "ConnectingHom") -> "ConnectingHom":
         """second after first (first.target must be second.source)."""
-        images = [
-            second.target.element(second.images[first.target.index(img)])
-            for img in first.gen_images
-        ]
+        images = map(second.target.element, _composite_indices(first, second))
         return cls(first.source, second.target, images)
+
+
+def _composite_indices(first: ConnectingHom, second: ConnectingHom) -> tuple:
+    """The gen_indices of second after first."""
+    return tuple(map(second.images.__getitem__, first.gen_indices))
 
 
 class CliffordSemigroup:
@@ -263,23 +272,27 @@ def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> list:
             if ConnectingHom(source, target, imgs).check() is None]
 
 
-def _intransitive(skeleton: Semilattice, homs: dict, every_triple=False):
-    """The triples (r, s, t), t < s < r, at which phi_{s,t} after phi_{r,s}
-    is not phi_{r,t}, for a full system of ConnectingHoms.
+def _triples(skeleton: Semilattice, every_triple=False) -> list:
+    """The triples (r, s, t), t < s < r, that a transitivity check tries.
 
-    Only lower covers s of r are tried unless every_triple is set:
+    Only lower covers s of r are listed unless every_triple is set:
     transitivity through every lower cover gives it through every s < r,
     by induction on the interval [s, r].
     """
     below = skeleton.strictly_below
     if every_triple:
-        triples = ((r, s, t) for r in range(skeleton.n)
-                   for s in below[r] for t in below[s])
-    else:
-        triples = ((r, s, t) for s, r in skeleton.hasse for t in below[s])
+        return [(r, s, t) for r in range(skeleton.n)
+                for s in below[r] for t in below[s]]
+    return [(r, s, t) for s, r in skeleton.hasse for t in below[s]]
+
+
+def _intransitive(homs: dict, triples):
+    """The triples (r, s, t) among these at which phi_{s,t} after phi_{r,s}
+    is not phi_{r,t}, for a full system of valid ConnectingHoms.  The maps
+    are compared on the generators of G_r alone, which fix a hom."""
     return ((r, s, t) for r, s, t in triples
-            if ConnectingHom.compose(homs[(r, s)], homs[(s, t)]).images
-            != homs[(r, t)].images)
+            if _composite_indices(homs[(r, s)], homs[(s, t)])
+            != homs[(r, t)].gen_indices)
 
 
 def hom_systems(skeleton: Semilattice, groups):
@@ -287,8 +300,9 @@ def hom_systems(skeleton: Semilattice, groups):
     gen_images} for all strict pairs t < s.
 
     Each cover pair takes a free choice from hom_choices; each longer pair
-    (s, t) is the composite through the first lower cover of s above t.  A
-    system is kept when it passes the transitivity check of build_clifford.
+    (s, t) is the composite through the first lower cover r of s above t.  A
+    system is kept when it passes the transitivity check of build_clifford
+    on every cover triple but these (s, r, t), which hold by construction.
     """
     cover_pairs = [(b, a) for a, b in skeleton.hasse]  # hom source above
     choice_lists = [[ConnectingHom(groups[s], groups[t], imgs)
@@ -303,12 +317,32 @@ def hom_systems(skeleton: Semilattice, groups):
             if t not in covers:
                 r = next(r for r in covers if skeleton.leq[t][r])
                 composites.append((s, r, t))
+    checks = [triple for triple in _triples(skeleton) if triple not in composites]
     for combo in product(*choice_lists):
         homs = dict(zip(cover_pairs, combo))
         for s, r, t in composites:
             homs[(s, t)] = ConnectingHom.compose(homs[(s, r)], homs[(r, t)])
-        if next(_intransitive(skeleton, homs), None) is None:
+        if next(_intransitive(homs, checks), None) is None:
             yield {pair: hom.gen_images for pair, hom in homs.items()}
+
+
+def _passes_light_test(table, generators) -> bool:
+    """Whether (xa)y = x(ay) for all x, y and every a in generators.
+
+    Light's associativity test (Clifford and Preston, The Algebraic Theory
+    of Semigroups I, 1961, section 1.2): the a that pass form a submagma,
+    since (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  A
+    CliffordSemigroup's generating set generates its table by
+    construction, whatever the homs, so passing on it is associativity.
+    Row xa is compared with row x read through row a as whole tuples.
+    """
+    if len(table) == 1:  # itemgetter of one index would return a scalar
+        return True
+    for a in generators:
+        through = itemgetter(*table[a])
+        if any(table[row[a]] != through(row) for row in table):
+            return False
+    return True
 
 
 def build_clifford(skeleton: Semilattice, groups, homs=None):
@@ -341,10 +375,10 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
                 full[(s, t)] = ConnectingHom.trivial(groups[s], groups[t])
     # only a failure through the covers walks every triple, to list the
     # violations
-    if next(_intransitive(skeleton, full), None) is not None:
+    if next(_intransitive(full, _triples(skeleton)), None) is not None:
         return ValidationReport(False, [
             Violation("hom_transitive", triple)
-            for triple in _intransitive(skeleton, full, every_triple=True)])
+            for triple in _intransitive(full, _triples(skeleton, every_triple=True))])
     semigroup = CliffordSemigroup(skeleton, groups, full)
     n = semigroup.n
     table = semigroup.table
@@ -355,10 +389,10 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
             y = next(y for y in range(x + 1, n) if table[x][y] != column[y])
             violations.append(Violation("commutative", (x, y)))
             break
-    if not violations:
-        witness = _first_nonassociative(table)
-        if witness is not None:
-            violations.append(Violation("associative", witness))
+    # only a table that fails Light's test walks every triple, to name the
+    # witness
+    if not violations and not _passes_light_test(table, semigroup.generating_set()):
+        violations.append(Violation("associative", _first_nonassociative(table)))
     if not violations:
         idem = sorted(semigroup.offset.values())
         actual = [x for x in range(n) if table[x][x] == x]

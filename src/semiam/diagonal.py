@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -25,12 +26,14 @@ def unit(s: Semilattice) -> tuple:
 
     u(p) = 1 - sum of u(t) over t strictly above p, working downward from
     the maximal elements; the result acts as an identity even when the
-    semilattice has no maximum.
+    semilattice has no maximum.  Computed on the first call and kept on s.
     """
-    coeffs = [0] * s.n
-    for p in reversed(s.canonical_perm):
-        coeffs[p] = 1 - sum(coeffs[t] for t in s.strictly_above[p])
-    return tuple(coeffs)
+    if s._unit is None:
+        coeffs = [0] * s.n
+        for p in reversed(s.canonical_perm):
+            coeffs[p] = 1 - sum(coeffs[t] for t in s.strictly_above[p])
+        s._unit = tuple(coeffs)
+    return s._unit
 
 
 def first_unit_failure(base, u, elements):
@@ -44,7 +47,9 @@ def first_unit_failure(base, u, elements):
         for x, c in enumerate(u):
             if c:
                 image[base.mul(x, q)] += c
-        if any(v != (x == q) for x, v in enumerate(image)):
+        delta_q = [0] * base.n
+        delta_q[q] = 1
+        if image != delta_q:
             return q
     return None
 
@@ -58,21 +63,24 @@ class DiagonalTensor:
     """
 
     def __init__(self, base, entries, den=1):
-        rows = [list(row) for row in entries]
+        rows = tuple(map(tuple, entries))
         if len(rows) != base.n or any(len(row) != base.n for row in rows):
             raise ValueError("entry matrix must be n x n over the base")
         if type(den) is not int or den < 1:
             raise ValueError("den must be a positive int")
-        if not all(type(v) is int for row in rows for v in row):
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
             values = [[rat(v) for v in row] for row in rows]
             scale = lcm(*(v.denominator for row in values for v in row))
-            rows = [[v.numerator * (scale // v.denominator) for v in row]
-                    for row in values]
+            rows = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                         for row in values)
             den *= scale
-        common = gcd(den, *(v for row in rows for v in row)) if den > 1 else 1
+        common = gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
+        if common > 1:
+            rows = tuple(tuple(v // common for v in row) for row in rows)
+            den //= common
         self.base = base
-        self.den = den // common
-        self.rows = tuple(tuple(v // common for v in row) for row in rows)
+        self.den = den
+        self.rows = rows
 
     @property
     def n(self) -> int:
@@ -85,7 +93,7 @@ class DiagonalTensor:
 
     def am(self) -> Fraction:
         """Amenability constant: the absolute sum of all entries."""
-        return Fraction(sum(abs(v) for row in self.rows for v in row), self.den)
+        return Fraction(sum(map(abs, chain.from_iterable(self.rows))), self.den)
 
     def __eq__(self, other):
         return isinstance(other, DiagonalTensor) and (self.den, self.rows) == (

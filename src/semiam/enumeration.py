@@ -157,9 +157,12 @@ def spectrum(max_size: int) -> SpectrumReport:
     rows = []
     counts = []
     for size in range(1, max_size + 1):
-        reps = enumerate_semilattices(size)
-        counts.append(len(reps))
-        for idx, s in enumerate(reps):
+        tables = enumerate_by_extension(size)
+        counts.append(len(tables))
+        # one class object alive at a time: each keeps the Moebius table
+        # and unit derived from it
+        for idx, table in enumerate(tables):
+            s = Semilattice(table)
             d1 = diagonal_recursive(s)
             d2 = diagonal_via_mobius(s)
             if d1 != d2:

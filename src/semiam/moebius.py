@@ -38,7 +38,11 @@ class MoebiusTable:
 
 
 def mobius_table(base: Semilattice) -> MoebiusTable:
-    return MoebiusTable(base)
+    """base's MoebiusTable, built on the first call and kept on base:
+    every caller shares it, and none modifies it."""
+    if base._mobius is None:
+        base._mobius = MoebiusTable(base)
+    return base._mobius
 
 
 def outer_product_sum(n: int, terms) -> list:

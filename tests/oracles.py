@@ -1,8 +1,9 @@
 """Independent oracles that only the tests use.
 
-Two enumeration strategies that back up enumerate_by_extension, an
-isomorphism search, the diagonal of a product built from its factors, and
-the down-set (Schutzenberger) transform with its Moebius inverse.  Elements
+Two enumeration strategies that back up enumerate_by_extension,
+relabelling and an isomorphism search, the diagonal of a product built
+from its factors, and the down-set (Schutzenberger) transform with its
+Moebius inverse.  Elements
 of the algebra are coefficient tuples indexed by element id, as the unit
 is in the library.
 """
@@ -67,6 +68,16 @@ def enumerate_brute(n: int) -> list:
         if check_table(table).ok:
             found.add(canonical_table(Semilattice(table)))
     return sorted(found)
+
+
+def relabel(s: Semilattice, perm) -> Semilattice:
+    """Image of s under the bijection old index -> perm[old index]."""
+    n = s.n
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    table = [[perm[s.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+    return Semilattice(table, [s.labels[inv[i]] for i in range(n)])
 
 
 def are_isomorphic(a: Semilattice, b: Semilattice):

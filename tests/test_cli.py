@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SIX_LABELS, make_six
+from oracles import relabel
 from semiam import cli
 from semiam.diagonal import DiagonalTensor, diagonal_recursive
 
@@ -29,7 +30,7 @@ G2_JSON = json.dumps(
 )
 
 # the six-element lattice with element i moved to index [3, 0, 5, 1, 4, 2][i]
-SHUFFLED = make_six().relabel([3, 0, 5, 1, 4, 2])
+SHUFFLED = relabel(make_six(), [3, 0, 5, 1, 4, 2])
 SHUFFLED_JSON = json.dumps(
     {"table": [list(r) for r in SHUFFLED.table], "labels": list(SHUFFLED.labels)}
 )

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_g, make_six
 import semiam.clifford as clifford_mod
+import semiam.semilattice as semilattice_mod
 from semiam.clifford import (
     MAX_ELEMENTS,
     CliffordSemigroup,
@@ -25,8 +26,16 @@ from semiam.clifford import (
     unit_solve,
 )
 from semiam.diagonal import diagonal_recursive, verify_diagonal
-from semiam.enumeration import enumerate_semilattices
-from semiam.semilattice import chain, flat_with_top, from_hasse
+from semiam.enumeration import enumerate_semilattices, gap_instances, gap_search
+from semiam.semilattice import (
+    Semilattice,
+    _first_nonassociative,
+    chain,
+    flat_with_top,
+    from_hasse,
+    power_set,
+    validate,
+)
 
 G2_MATRIX = (
     (6, -2, -2, Fraction(-1, 2), Fraction(1, 2), -2, 1),
@@ -151,6 +160,75 @@ def test_build_rejects_nontransitive_homs():
     v = report.violations[0]
     assert v.axiom == "hom_transitive"
     assert v.witness == (2, 1, 0)
+
+
+def test_transitivity_compares_reduced_generator_images():
+    # 5, 9 and -7 are all 1 in Z_4, and so is 3 * 3: in every system
+    # phi_{2,0} is phi_{1,0} after phi_{2,1}, however its digits are written
+    z4 = FiniteAbelianGroup([4])
+    for homs in (
+        {(2, 1): [(5,)], (1, 0): [(1,)], (2, 0): [(1,)]},
+        {(2, 1): [(1,)], (1, 0): [(1,)], (2, 0): [(5,)]},
+        {(2, 1): [(3,)], (1, 0): [(3,)], (2, 0): [(-7,)]},
+        {(2, 1): [(9,)], (1, 0): [(5,)], (2, 0): [(-7,)]},
+    ):
+        assert isinstance(build_clifford(chain(2), [z4] * 3, homs), CliffordSemigroup)
+    report = build_clifford(chain(2), [z4] * 3, {(2, 1): [(5,)], (1, 0): [(1,)], (2, 0): [(2,)]})
+    assert [(v.axiom, v.witness) for v in report.violations] == [
+        ("hom_transitive", (2, 1, 0))]
+
+
+def corrupting(x, y, z):
+    """CliffordSemigroup with x*y = y*x = z written over its table."""
+
+    class Corrupted(CliffordSemigroup):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows = [list(row) for row in self.table]
+            rows[x][y] = rows[y][x] = z
+            self.table = tuple(map(tuple, rows))
+
+    return Corrupted
+
+
+def test_a_corrupted_table_reports_the_scan_witness(monkeypatch):
+    # build_clifford accepts associativity on the generating set (Light's
+    # test) and walks _first_nonassociative only to name a witness: every
+    # symmetric corruption that breaks associativity, so that commutativity
+    # still holds, must report the witness the scan gives for that table
+    instances = [inst for inst in gap_instances(2, 4)
+                 if sum(g.order for g in inst.groups) <= 6]
+    rejected = 0
+    for inst in random.Random(4).sample(instances, 12):
+        table = build_clifford(inst.skeleton, inst.groups, inst.homs).table
+        n = len(table)
+        for x in range(n):
+            for y in range(x + 1, n):
+                for z in range(n):
+                    rows = [list(row) for row in table]
+                    rows[x][y] = rows[y][x] = z
+                    witness = _first_nonassociative(rows)
+                    if witness is None:
+                        continue
+                    with monkeypatch.context() as patch:
+                        patch.setattr(clifford_mod, "CliffordSemigroup", corrupting(x, y, z))
+                        report = build_clifford(inst.skeleton, inst.groups, inst.homs)
+                    assert [(v.axiom, v.witness) for v in report.violations] == [
+                        ("associative", witness)]
+                    rejected += 1
+    assert rejected > 200
+
+
+def test_acceptance_never_walks_the_full_associativity_scan(monkeypatch):
+    # the scan only names a witness; no accepted table may reach it
+    def refuse(rows):
+        raise AssertionError("full associativity scan on an accepted table")
+
+    monkeypatch.setattr(semilattice_mod, "_first_nonassociative", refuse)
+    monkeypatch.setattr(clifford_mod, "_first_nonassociative", refuse)
+    report = gap_search()
+    assert report.ok and report.instance_count == 332
+    assert isinstance(validate(power_set(6).table), Semilattice)
 
 
 def test_trivial_groups_reproduce_the_skeleton():

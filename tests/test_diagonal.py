@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_broom, make_six, make_tree
-from oracles import point_mass, tensor_diagonal
+from oracles import point_mass, relabel, tensor_diagonal
 from semiam.diagonal import (
     DiagonalTensor,
     diagonal_recursive,
@@ -121,7 +121,7 @@ def test_diagonal_transports_under_relabeling():
     for _ in range(8):
         perm = list(range(6))
         rng.shuffle(perm)
-        other = six.relabel(perm)
+        other = relabel(six, perm)
         d2 = diagonal_recursive(other)
         for a in range(6):
             for b in range(6):

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from conftest import SIX_COVERS, SIX_LABELS, make_broom, make_six, make_tree
-from oracles import are_isomorphic
+from oracles import are_isomorphic, relabel
 from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
     Semilattice,
     ValidationReport,
     _first_nonassociative,
+    _meets_down_sets,
     chain,
     check_table,
     flat,
@@ -145,6 +146,30 @@ def test_check_table_matches_the_cell_by_cell_reference():
         assert (report.ok, [(v.axiom, v.witness) for v in report.violations]) == expected
         rejects += any(axiom == "associative" for axiom, _ in expected[1])
     assert rejects > 1000
+
+
+def test_down_set_acceptance_agrees_with_the_associativity_scan():
+    # check_table accepts on down-set bitmasks and walks
+    # _first_nonassociative only to name a witness, so the two must agree
+    # on every commutative idempotent magma
+    rng = random.Random(11)
+    accepted = 0
+    for _ in range(20000):
+        n = rng.randint(1, 5)
+        table = [[0] * n for _ in range(n)]
+        for s in range(n):
+            table[s][s] = s
+            for t in range(s + 1, n):
+                table[s][t] = table[t][s] = rng.randrange(n)
+        witness = _first_nonassociative(table)
+        assert _meets_down_sets(table) == (witness is None)
+        report = check_table(table)
+        assert report.ok == (witness is None)
+        if witness is not None:
+            assert [(v.axiom, v.witness) for v in report.violations] == [
+                ("associative", witness)]
+        accepted += report.ok
+    assert 5000 < accepted < 15000
 
 
 def test_first_nonassociative_names_the_first_witness():
@@ -362,7 +387,7 @@ def test_canonical_prefixes_are_down_closed():
     for _ in range(10):
         perm = list(range(6))
         rng.shuffle(perm)
-        s = six.relabel(perm)
+        s = relabel(six, perm)
         levels = [s.level[x] for x in s.canonical_perm]
         assert levels == sorted(levels)
         for k in range(1, s.n + 1):
@@ -423,7 +448,7 @@ def test_are_isomorphic_relabelings(six):
     for _ in range(10):
         perm = list(range(6))
         rng.shuffle(perm)
-        other = six.relabel(perm)
+        other = relabel(six, perm)
         iso, found = are_isomorphic(six, other)
         assert iso
         for a in range(6):
@@ -440,7 +465,7 @@ def test_are_isomorphic_distinguishes():
 def test_relabel_roundtrip(six):
     perm = [5, 4, 3, 2, 1, 0]
     back = [perm.index(i) for i in range(6)]
-    assert six.relabel(perm).relabel(back).table == six.table
+    assert relabel(relabel(six, perm), back).table == six.table
 
 
 def test_labels_must_be_distinct():

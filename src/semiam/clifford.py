@@ -31,7 +31,8 @@ from .semilattice import (
 # The most elements, sum |G_e|, that from_json_dict accepts.  Table,
 # diagonal and verifier work grow as n^2 to n^3; at 512 the slowest shape
 # found, a chain of trivial blocks given as a table, runs `semiam clifford`
-# in about 35 s on a shared 2-CPU 2.1 GHz Xeon.
+# in about 16 s on a shared 2-CPU 2.1 GHz Xeon under Python 3.11, most of
+# it in the skeleton's cover scan (Semilattice._derive) and MoebiusTable.
 MAX_ELEMENTS = 512
 
 
@@ -47,10 +48,10 @@ class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
     Elements are indexed 0..order-1 in lexicographic digit order, so the
-    identity (all zeros) is index 0.  A group stores only its factor
-    orders: one shared by many Clifford instances holds no order^2 table
-    between them, and listing the gap-search family costs nothing per
-    element.
+    identity (all zeros) is index 0.  A group holds no order^2 table: each
+    Clifford layout builds its own block addition tables.  It keeps the
+    image tuple of every hom out of it that has been used, so all the
+    Clifford instances that share the group share those.
     """
 
     def __init__(self, cyclic_orders):
@@ -65,6 +66,10 @@ class FiniteAbelianGroup:
         self._generators = tuple(
             self.index([int(pos == i) for pos in range(len(orders))])
             for i, k in enumerate(orders) if k > 1)
+        # target -> hom_choices(self, target); (target, gen_images) ->
+        # ConnectingHom.images of that hom
+        self._hom_choices = {}
+        self._hom_images = {}
 
     def sum_table(self, offset: int) -> list:
         """sum_table(offset)[i][j] is offset + the index of element i +
@@ -117,35 +122,47 @@ class ConnectingHom:
     def __init__(self, source: FiniteAbelianGroup, target: FiniteAbelianGroup, gen_images):
         self.source = source
         self.target = target
-        self.gen_images = tuple(tuple(int(d) for d in img) for img in gen_images)
-        self._images = None
+        self.gen_images = tuple(tuple(map(int, img)) for img in gen_images)
+        self._images = self._gen_indices = None
 
     @property
     def images(self) -> tuple:
-        """images[x] is the target index of the image of source element x,
-        computed on first use and kept; it means something only once
-        check() passes."""
+        """images[x] is the target index of the image of source element x;
+        it means something only once check() passes.  The tuple is kept on
+        the source group, keyed by the target and the generator images, so
+        every hom object for one map shares it."""
         if self._images is None:
-            # source element (d, rest) maps to d times the first
-            # generator's image plus the image of rest, digit-wise (index
-            # reduces mod the target orders): grow from the last factor
-            images = [[0] * len(self.target.cyclic_orders)]
-            for k, img in zip(reversed(self.source.cyclic_orders), reversed(self.gen_images)):
-                images = [[d * v + w for v, w in zip(img, rest)]
-                          for d in range(k) for rest in images]
-            self._images = tuple(map(self.target.index, images))
+            key = (self.target, self.gen_images)
+            known = self.source._hom_images
+            if key not in known:
+                known[key] = self._image_tuple()
+            self._images = known[key]
         return self._images
 
-    @cached_property
+    def _image_tuple(self) -> tuple:
+        # source element (d, rest) maps to d times the first generator's
+        # image plus the image of rest, digit-wise (index reduces mod the
+        # target orders): grow from the last factor
+        images = [[0] * len(self.target.cyclic_orders)]
+        for k, img in zip(reversed(self.source.cyclic_orders), reversed(self.gen_images)):
+            images = [[d * v + w for v, w in zip(img, rest)]
+                      for d in range(k) for rest in images]
+        return tuple(map(self.target.index, images))
+
+    @property
     def gen_indices(self) -> tuple:
         """The target index of each generator image, digits reduced: two
         valid homs between the same groups are equal iff these are."""
-        return tuple(map(self.target.index, self.gen_images))
+        if self._gen_indices is None:
+            self._gen_indices = tuple(map(self.target.index, self.gen_images))
+        return self._gen_indices
 
     @classmethod
     def trivial(cls, source, target):
         img = tuple([0] * len(target.cyclic_orders) for _ in source.cyclic_orders)
-        return cls(source, target, img)
+        hom = cls(source, target, img)
+        hom._images = (0,) * source.order  # every element maps to the identity
+        return hom
 
     def check(self):
         """None when well defined, else a short reason string.
@@ -176,6 +193,64 @@ def _composite_indices(first: ConnectingHom, second: ConnectingHom) -> tuple:
     return tuple(map(second.images.__getitem__, first.gen_indices))
 
 
+class _Layout:
+    """What every Clifford semigroup over one skeleton and one tuple of
+    groups derives without reading its homs: the block offsets, block_of
+    and member_of, the generating set, the block addition tables with the
+    offsets folded in, the block identities, and, when a diagonal is asked
+    for, the inverses and the offset Moebius supports of the blocks."""
+
+    def __init__(self, skeleton: Semilattice, groups: tuple):
+        self.skeleton = skeleton
+        self.groups = groups
+        blocks = skeleton.canonical_perm
+        offset = [0] * skeleton.n
+        n = 0
+        for s in blocks:
+            offset[s] = n
+            n += groups[s].order
+        self.n = n
+        self.canonical_perm = tuple(range(n))
+        self.offset = tuple(offset)
+        self.block_of = tuple(s for s in blocks for _ in range(groups[s].order))
+        self.member_of = tuple(i for s in blocks for i in range(groups[s].order))
+        self.idempotents = tuple(sorted(offset))
+        # sums[r][a][b] = id of a + b in block r
+        self.sums = tuple(g.sum_table(offset[r]) for r, g in enumerate(groups))
+        # see CliffordSemigroup.generating_set
+        irreducible = set(skeleton.generating_set())
+        gens = []
+        for s in blocks:
+            if groups[s].order > 1:
+                gens += [offset[s] + g for g in groups[s].generators()]
+            elif s in irreducible:
+                gens.append(offset[s])
+        self.generating_set = tuple(gens)
+
+    @cached_property
+    def inverses(self) -> tuple:
+        """inverses[e][x] is the index of -x in block e."""
+        return tuple(g.inverses() for g in self.groups)
+
+    @cached_property
+    def supports(self) -> tuple:
+        """supports[e]: (f, offset of f, mu(f, e)) for every f <= e with
+        mu(f, e) != 0."""
+        columns = mobius_table(self.skeleton).columns
+        return tuple(tuple((f, self.offset[f], m) for f, m in column.items() if m)
+                     for column in columns)
+
+
+def _layout(skeleton: Semilattice, groups: tuple) -> _Layout:
+    """The layout over skeleton and these group objects.  The last one
+    built is kept on the skeleton, so a run of instances over one pair,
+    as gap_search meets them, derives it once."""
+    layout = skeleton._layout
+    if layout is None or layout.groups != groups:
+        layout = skeleton._layout = _Layout(skeleton, groups)
+    return layout
+
+
 class CliffordSemigroup:
     """Flattened semigroup of a validated Clifford construction.
 
@@ -188,22 +263,17 @@ class CliffordSemigroup:
         self.skeleton = skeleton
         self.groups = tuple(groups)
         self.homs = dict(homs)  # (s, t) with t < s strictly -> ConnectingHom
-        blocks = skeleton.canonical_perm
-        offset = {}
-        n = 0
-        for s in blocks:
-            offset[s] = n
-            n += self.groups[s].order
-        self.n = n
-        self.offset = offset
-        self.block_of = tuple(s for s in blocks for _ in range(self.groups[s].order))
-        self.member_of = tuple(i for s in blocks for i in range(self.groups[s].order))
-        self.canonical_perm = tuple(range(n))
+        self.layout = layout = _layout(skeleton, self.groups)
+        self.n = layout.n
+        self.offset = layout.offset
+        self.block_of = layout.block_of
+        self.member_of = layout.member_of
+        self.canonical_perm = layout.canonical_perm
         # _images[(s, r)][x] = phi_{s,r}(x), the identity map for s = r
         self._images = {pair: hom.images for pair, hom in self.homs.items()}
         self._images.update(((s, s), range(g.order)) for s, g in enumerate(self.groups))
-        # sums[r][a][b] = id of a + b in block r
-        sums = [g.sum_table(offset[r]) for r, g in enumerate(self.groups)]
+        blocks = skeleton.canonical_perm
+        sums = layout.sums
         table = []
         for sx in blocks:
             meets = skeleton.table[sx]
@@ -218,15 +288,6 @@ class CliffordSemigroup:
                     row += map(block_sums[push_x[gx]].__getitem__, push_y)
                 table.append(tuple(row))
         self.table = tuple(table)
-        # see generating_set
-        irreducible = set(skeleton.generating_set())
-        gens = []
-        for s in blocks:
-            if self.groups[s].order > 1:
-                gens += [offset[s] + g for g in self.groups[s].generators()]
-            elif s in irreducible:
-                gens.append(offset[s])
-        self._generating_set = tuple(gens)
 
     @cached_property
     def labels(self) -> tuple:
@@ -244,9 +305,6 @@ class CliffordSemigroup:
                 labels.append(f"{lbl}[{digits}]")
         return tuple(labels)
 
-    def _push(self, s: int, r: int, g: int) -> int:
-        return self._images[(s, r)][g]
-
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -258,18 +316,22 @@ class CliffordSemigroup:
         block identity included.  Any other skeleton element e is the meet
         of two elements above it, so e's identity is the product of theirs.
         """
-        return self._generating_set
+        return self.layout.generating_set
 
     def __repr__(self):
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"
 
 
-def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> list:
+def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> tuple:
     """Every gen_images tuple of a homomorphism source -> target, in the
-    lexicographic order of the target's digit tuples."""
-    digits = [target.element(x) for x in range(target.order)]
-    return [imgs for imgs in product(digits, repeat=len(source.cyclic_orders))
-            if ConnectingHom(source, target, imgs).check() is None]
+    lexicographic order of the target's digit tuples; listed on the first
+    call and kept on source."""
+    if target not in source._hom_choices:
+        digits = [target.element(x) for x in range(target.order)]
+        source._hom_choices[target] = tuple(
+            imgs for imgs in product(digits, repeat=len(source.cyclic_orders))
+            if ConnectingHom(source, target, imgs).check() is None)
+    return source._hom_choices[target]
 
 
 def _triples(skeleton: Semilattice, every_triple=False) -> list:
@@ -334,13 +396,13 @@ def _passes_light_test(table, generators) -> bool:
     since (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  A
     CliffordSemigroup's generating set generates its table by
     construction, whatever the homs, so passing on it is associativity.
-    Row xa is compared with row x read through row a as whole tuples.
+    Rows xa are compared with rows x read through row a, all x at once.
     """
     if len(table) == 1:  # itemgetter of one index would return a scalar
         return True
     for a in generators:
-        through = itemgetter(*table[a])
-        if any(table[row[a]] != through(row) for row in table):
+        products = map(table.__getitem__, map(itemgetter(a), table))
+        if list(products) != list(map(itemgetter(*table[a]), table)):
             return False
     return True
 
@@ -384,25 +446,25 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     table = semigroup.table
     # the first row that differs from its column differs only to the right
     # of the diagonal: a mismatch to the left shows in an earlier row
-    for x, column in enumerate(zip(*table)):
-        if table[x] != column:
-            y = next(y for y in range(x + 1, n) if table[x][y] != column[y])
-            violations.append(Violation("commutative", (x, y)))
-            break
+    if tuple(zip(*table)) != table:
+        x, column = next((x, column) for x, column in enumerate(zip(*table))
+                         if table[x] != column)
+        y = next(y for y in range(x + 1, n) if table[x][y] != column[y])
+        violations.append(Violation("commutative", (x, y)))
     # only a table that fails Light's test walks every triple, to name the
     # witness
     if not violations and not _passes_light_test(table, semigroup.generating_set()):
         violations.append(Violation("associative", _first_nonassociative(table)))
     if not violations:
-        idem = sorted(semigroup.offset.values())
-        actual = [x for x in range(n) if table[x][x] == x]
-        if idem != actual:
-            violations.append(Violation("idempotents", tuple(actual)))
+        actual = tuple(x for x in range(n) if table[x][x] == x)
+        if actual != semigroup.layout.idempotents:
+            violations.append(Violation("idempotents", actual))
         else:
-            for s in range(skeleton.n):
-                for t in range(skeleton.n):
-                    es, et = semigroup.offset[s], semigroup.offset[t]
-                    if table[es][et] != semigroup.offset[skeleton.table[s][t]]:
+            offset = semigroup.offset
+            for s, meets in enumerate(skeleton.table):
+                row = table[offset[s]]
+                for t, r in enumerate(meets):
+                    if row[offset[t]] != offset[r]:
                         violations.append(Violation("idempotent_product", (s, t)))
     if violations:
         return ValidationReport(False, violations)
@@ -459,16 +521,17 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
     L*D is accumulated in ints, L = lcm |G_e|, by the outer-product sum
     that diagonal_via_mobius runs with trivial blocks.
     """
-    columns = mobius_table(g.skeleton).columns
+    layout = g.layout
     den = lcm(*(group.order for group in g.groups))
     terms = []
-    for e, group in enumerate(g.groups):
+    for e, (group, support) in enumerate(zip(g.groups, layout.supports)):
+        pushes = [(g._images[(e, f)], offset, m) for f, offset, m in support]
         # lifted[x]: the support of x' as (element id, coefficient) pairs
-        support = [(f, m) for f, m in columns[e].items() if m]
-        lifted = [[(g.offset[f] + g._push(e, f, x), m) for f, m in support]
+        lifted = [[(offset + push[x], m) for push, offset, m in pushes]
                   for x in range(group.order)]
-        terms += [(den // group.order, lifted[x], lifted[y])
-                  for x, y in enumerate(group.inverses())]
+        weight = den // group.order
+        terms += [(weight, lifted[x], lifted[y])
+                  for x, y in enumerate(layout.inverses[e])]
     return DiagonalTensor(g, outer_product_sum(g.n, terms), den)
 
 

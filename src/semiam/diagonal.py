@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import add
 
@@ -42,11 +42,11 @@ def first_unit_failure(base, u, elements):
     u is a coefficient tuple by element id over a commutative base.  If u
     fixes a generating set, it fixes every product of generators too.
     """
+    support = [(x, c) for x, c in enumerate(u) if c]
     for q in elements:
         image = [0] * base.n
-        for x, c in enumerate(u):
-            if c:
-                image[base.mul(x, q)] += c
+        for x, c in support:
+            image[base.mul(x, q)] += c
         delta_q = [0] * base.n
         delta_q[q] = 1
         if image != delta_q:
@@ -161,15 +161,15 @@ def verify_diagonal(d: DiagonalTensor, u):
     cross-multiplying, with u given as ints or Fractions.
 
     Acceptance checks centrality on the base's generating set alone: if q
-    and r commute with D, so does qr.  Only a tensor that fails there walks
+    and r commute with D, so does qr.  A symmetric D is checked on one side
+    (see _central_when_symmetric).  Only a tensor that fails there walks
     every q, which names the witness.
     """
     base = d.base
     moment = [0] * base.n
     for row, products in zip(d.rows, base.table):
-        for h, v in enumerate(row):
-            if v:
-                moment[products[h]] += v
+        for p, v in zip(compress(products, row), filter(None, row)):
+            moment[p] += v
     for r, c in enumerate(u):
         if moment[r] * c.denominator != c.numerator * d.den:
             return False, {
@@ -178,8 +178,12 @@ def verify_diagonal(d: DiagonalTensor, u):
                 "lhs": Fraction(moment[r], d.den),
                 "rhs": Fraction(c),
             }
-    columns = list(zip(*d.rows))
-    if all(_noncentral_pair(d, columns, q) is None for q in base.generating_set()):
+    columns = tuple(zip(*d.rows))
+    if columns == d.rows:
+        central = (_central_when_symmetric(d, q) for q in base.generating_set())
+    else:
+        central = (_noncentral_pair(d, columns, q) is None for q in base.generating_set())
+    if all(central):
         return True, None
     q, (g, h, lhs, rhs) = next(
         (q, found) for q in range(base.n)
@@ -196,23 +200,32 @@ def _noncentral_pair(d: DiagonalTensor, columns, q: int):
     columns are the columns of den*D.  Row a of the left side sums the rows
     x of D with qx = a; column b of the right side sums the columns y with
     qy = b."""
-    n = d.n
     image = d.base.table[q]
-    zero = (0,) * n
     left = _sums_by_image(d.rows, image)
     right = _sums_by_image(columns, image)
-    for g, rhs in enumerate(zip(*(right.get(b, zero) for b in range(n)))):
-        lhs = left.get(g, zero)
+    for g, (lhs, rhs) in enumerate(zip(left, zip(*right))):
         if lhs != rhs:
-            h = next(h for h in range(n) if lhs[h] != rhs[h])
+            h = next(h for h in range(d.n) if lhs[h] != rhs[h])
             return g, h, Fraction(lhs[h], d.den), Fraction(rhs[h], d.den)
     return None
 
 
-def _sums_by_image(vectors, image) -> dict:
-    """a -> the sum of vectors[x] over the x with image[x] = a."""
-    sums = {}
-    for x, vector in enumerate(vectors):
-        a = image[x]
-        sums[a] = tuple(map(add, sums[a], vector)) if a in sums else vector
+def _central_when_symmetric(d: DiagonalTensor, q: int) -> bool:
+    """Whether delta_q . D = D . delta_q, for a D equal to its transpose.
+
+    With L the left side, L[a][b] = sum of D[x][b] over qx = a, symmetry
+    makes the right side (D . delta_q)[a][b] = sum of D[a][y] over qy = b
+    equal to L[b][a]: q commutes with D iff L is symmetric."""
+    left = _sums_by_image(d.rows, d.base.table[q])
+    return left == list(zip(*left))
+
+
+def _sums_by_image(vectors, image) -> list:
+    """Entry a is the sum of vectors[x] over the x with image[x] = a, or
+    a zero vector when there is no such x."""
+    zero = (0,) * len(vectors)
+    sums = [zero] * len(vectors)
+    for vector, a in zip(vectors, image):
+        known = sums[a]
+        sums[a] = vector if known is zero else tuple(map(add, known, vector))
     return sums

@@ -308,7 +308,7 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
         am = unit_and_diagonal(built)[1].am()
         inst.am = am
         counts[am] = counts.get(am, 0) + 1
-        if Fraction(5) < am < Fraction(9):
+        if 5 < am < 9:
             violations.append(inst)
     return GapReport(
         skeleton_max_size=skeleton_max_size,

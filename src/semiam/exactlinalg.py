@@ -8,16 +8,24 @@ underdetermined systems with a witness instead of guessing.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 
+# an optional sign, digits, and an optional /digits, with surrounding
+# whitespace: Fraction() would also take exponents, and expands 1e9999999
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
 def rat(value) -> Fraction:
-    """Coerce an int, a string like '-3/4', or a Fraction to a Fraction.
+    """Coerce an int, a string like '-3/4' or '7', or a Fraction to a
+    Fraction.
 
     Floats are rejected: a binary float is almost never the rational the
-    caller had in mind.
+    caller had in mind.  So are strings of any other form, decimals and
+    exponents among them, with a ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -26,7 +34,11 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f"not an integer or p/q string: {value!r}")
+        numerator, denominator = match.groups()
+        return Fraction(int(numerator), int(denominator or 1))
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

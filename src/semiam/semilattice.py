@@ -130,9 +130,10 @@ class Semilattice:
         if len(self.labels) != self.n or len(set(self.labels)) != self.n:
             raise ValueError("need one distinct label per element")
         self._derive()
-        # set on first use by moebius.mobius_table and diagonal.unit, so
-        # every Clifford instance over one skeleton object shares them
-        self._mobius = self._unit = None
+        # set on first use by moebius.mobius_table, diagonal.unit and
+        # clifford._layout, so every Clifford instance over one skeleton
+        # object shares them
+        self._mobius = self._unit = self._layout = None
 
     def _derive(self):
         n, table = self.n, self.table

@@ -470,6 +470,21 @@ def test_verify_rejects_float_entries(capsys):
     assert out["violations"][0]["axiom"] == "float_entry"
 
 
+@pytest.mark.parametrize("entry", ["1e9999999", "0.5", "1/-2"])
+def test_verify_rejects_entries_that_are_not_digits_over_digits(entry):
+    # a child with a deadline: Fraction("1e9999999") ran for minutes
+    payload = json.dumps({"base": {"table": [[0]]}, "diagonal": [[entry]]})
+    import_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(import_root))
+    child = subprocess.run(
+        [sys.executable, "-m", "semiam", "verify", payload],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert child.returncode == 2, child.stderr
+    assert json.loads(child.stdout) == {
+        "ok": False, "violations": [{"axiom": "entry", "witness": [entry]}]}
+
+
 def test_missing_file_exits_4(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 4

@@ -1,12 +1,16 @@
 """The closed-form Clifford diagonal and the integer verifier, checked
 against the linear solver and the full equation walk."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_g, make_six
+from semiam import cli
+from semiam import diagonal as diagonal_mod
 from semiam.clifford import (
     CliffordSemigroup,
     DiagonalSolveError,
@@ -22,14 +26,16 @@ from semiam.clifford import (
 )
 from semiam.diagonal import (
     DiagonalTensor,
+    _noncentral_pair,
     diagonal_recursive,
     unit,
     verify_diagonal,
 )
-from semiam.enumeration import enumerate_semilattices, gap_instances
+from semiam.enumeration import enumerate_semilattices, gap_instances, gap_search
 from semiam.moebius import diagonal_via_mobius
-from semiam.semilattice import chain, flat, flat_with_top
+from semiam.semilattice import Semilattice, chain, flat, flat_with_top
 
+from test_cli import D_SIX_ROWS, G2_JSON
 from test_clifford import G2_MATRIX, frozen
 
 
@@ -372,3 +378,94 @@ def test_a_tensor_central_for_every_block_identity_is_still_rejected():
     assert result == _first_failing_equation(bad, u)
     assert result[1]["kind"] == "centrality"
     assert result[1]["q"] == 2
+
+
+def _walk_every_q(d: DiagonalTensor, u: tuple):
+    """The verifier's witness without its shortcuts: the moment, then
+    _noncentral_pair on both sides for every q."""
+    moment = _first_failing_equation(d, u)
+    if moment[0] is False and moment[1]["kind"] == "moment":
+        return moment
+    columns = tuple(zip(*d.rows))
+    for q in range(d.n):
+        found = _noncentral_pair(d, columns, q)
+        if found is not None:
+            g, h, lhs, rhs = found
+            return False, {"kind": "centrality", "q": q, "pair": (g, h),
+                           "lhs": lhs, "rhs": rhs}
+    return True, None
+
+
+def _symmetry_breaking_cases(d: DiagonalTensor):
+    """(kind, changes, symmetric) perturbations of d, symmetric telling
+    whether den*D stays symmetric.  "symmetric" moves the same mass
+    between two cells with one product and between their transposes,
+    which keeps the moment; "transposed" moves mass from a cell to its
+    transpose, which keeps the moment only; "single" adds to one cell,
+    which breaks the moment."""
+    third = Fraction(1, 3)
+    for (a, b), (c, e) in _moment_keeping_pairs(d.base):
+        if {a, b} != {c, e}:
+            changes = {}
+            for cell, delta in (((a, b), third), ((b, a), third),
+                                ((c, e), -third), ((e, c), -third)):
+                changes[cell] = changes.get(cell, 0) + delta
+            yield "symmetric", changes, True
+        if a != b:
+            yield "transposed", {(a, b): third, (b, a): -third}, False
+        yield "single", {(a, b): third}, a == b
+
+
+def _symmetry_bases():
+    instances = random.Random(11).sample(gap_instances(), 12)
+    yield from (unit_and_diagonal(build_instance(inst)) for inst in instances)
+    yield unit_and_diagonal(make_g(3))
+    yield unit_and_diagonal(_single_block([2, 2]))
+    s = make_six()
+    yield unit(s), diagonal_via_mobius(s)
+
+
+def test_symmetric_and_asymmetric_perturbations_give_the_full_witness():
+    seen = Counter()
+    for u, d in _symmetry_bases():
+        assert d.rows == tuple(zip(*d.rows))
+        for kind, changes, symmetric in _symmetry_breaking_cases(d):
+            bad = _perturbed(d, changes)
+            assert (bad.rows == tuple(zip(*bad.rows))) == symmetric
+            result = verify_diagonal(bad, u)
+            assert result[0] is False
+            assert result == _walk_every_q(bad, u) == _first_failing_equation(bad, u)
+            assert result[1]["kind"] == ("moment" if kind == "single" else "centrality")
+            seen[kind] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_symmetric_acceptance_never_walks_both_sides(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a symmetric diagonal walked _noncentral_pair")
+
+    monkeypatch.setattr(diagonal_mod, "_noncentral_pair", refuse)
+    report = gap_search()
+    assert report.ok and report.instance_count == 332
+    bases = [({"table": [list(r) for r in make_six().table]}, D_SIX_ROWS),
+             (json.loads(G2_JSON), [[str(v) for v in row] for row in G2_MATRIX])]
+    for base, rows in bases:
+        code = cli.main(["verify", json.dumps({"base": base, "diagonal": rows})])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True}
+
+
+def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
+    # each instance is built over the family's own skeleton and groups,
+    # which earlier instances' layouts and hom images have filled, and
+    # over fresh copies of both, which share nothing
+    instances = gap_instances()
+    assert len(instances) == 332
+    for inst in instances:
+        shared = build_instance(inst)
+        skeleton = Semilattice(inst.skeleton.table)
+        groups = tuple(FiniteAbelianGroup(g.cyclic_orders) for g in inst.groups)
+        fresh = build_clifford(skeleton, groups, inst.homs)
+        assert shared.table == fresh.table
+        assert shared.generating_set() == fresh.generating_set()
+        assert unit_and_diagonal(shared) == unit_and_diagonal(fresh)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import are_isomorphic, enumerate_brute, enumerate_by_families, relabel
-from semiam.clifford import FiniteAbelianGroup, hom_systems
+from semiam import clifford
+from semiam.clifford import ConnectingHom, FiniteAbelianGroup, hom_systems
 from semiam.enumeration import (
     InstanceLimitError,
     canonical_table,
@@ -177,6 +178,28 @@ def test_gap_instances_build_no_group_tables(monkeypatch):
     monkeypatch.setattr(FiniteAbelianGroup, "sum_table", refuse)
     monkeypatch.setattr(FiniteAbelianGroup, "inverses", refuse)
     assert len(gap_instances()) == 332
+
+
+def test_gap_search_derives_shared_data_once(monkeypatch):
+    # the 332 instances use 24 distinct connecting homs over 148
+    # (skeleton, groups) pairs: each image tuple and each layout is
+    # derived once, however many instances share it
+    counts = Counter()
+    real_images, real_layout = ConnectingHom._image_tuple, clifford._Layout.__init__
+
+    def images(self):
+        counts["images"] += 1
+        return real_images(self)
+
+    def layout(self, *args):
+        counts["layouts"] += 1
+        real_layout(self, *args)
+
+    monkeypatch.setattr(ConnectingHom, "_image_tuple", images)
+    monkeypatch.setattr(clifford._Layout, "__init__", layout)
+    assert gap_search().instance_count == 332
+    assert 0 < counts["images"] <= 24
+    assert 0 < counts["layouts"] <= 148
 
 
 def test_gap_search_instance_limit_names_the_limit():

@@ -29,6 +29,25 @@ def test_rat_rejects_floats_and_junk():
         rat("1/0")
 
 
+@pytest.mark.parametrize("text", [
+    "1e9999999", "1E5", "0.5", ".5", "1_000", "1/-2", "1 /2", "/2", "2/", "",
+    "nan", "inf", "\u0663",
+])
+def test_rat_takes_only_digits_over_digits(text):
+    # Fraction() would read an exponent and expand 1e9999999 digit by digit
+    with pytest.raises(ValueError):
+        rat(text)
+
+
+def test_rat_string_forms():
+    assert rat("+5") == 5
+    assert rat("\t-12/18\n") == Fraction(-2, 3)
+    assert rat("007/010") == Fraction(7, 10)
+    # past the int digit limit: a ValueError, not a long conversion
+    with pytest.raises(ValueError):
+        rat("1" * 5000)
+
+
 def test_rat_str():
     assert rat_str(Fraction(7)) == "7"
     assert rat_str(Fraction(-3, 4)) == "-3/4"

@@ -48,10 +48,10 @@ class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
     Elements are indexed 0..order-1 in lexicographic digit order, so the
-    identity (all zeros) is index 0.  A group holds no order^2 table: each
-    Clifford layout builds its own block addition tables.  It keeps the
-    image tuple of every hom out of it that has been used, so all the
-    Clifford instances that share the group share those.
+    identity (all zeros) is index 0.  A group stores only its factor
+    orders and generators: each Clifford layout builds its own block
+    addition tables and keeps the image tuples of the homs it meets, so a
+    group shared by many layouts holds no per-element data between them.
     """
 
     def __init__(self, cyclic_orders):
@@ -66,10 +66,6 @@ class FiniteAbelianGroup:
         self._generators = tuple(
             self.index([int(pos == i) for pos in range(len(orders))])
             for i, k in enumerate(orders) if k > 1)
-        # target -> hom_choices(self, target); (target, gen_images) ->
-        # ConnectingHom.images of that hom
-        self._hom_choices = {}
-        self._hom_images = {}
 
     def sum_table(self, offset: int) -> list:
         """sum_table(offset)[i][j] is offset + the index of element i +
@@ -127,27 +123,29 @@ class ConnectingHom:
 
     @property
     def images(self) -> tuple:
-        """images[x] is the target index of the image of source element x;
-        it means something only once check() passes.  The tuple is kept on
-        the source group, keyed by the target and the generator images, so
-        every hom object for one map shares it."""
+        """images[x] is the target index of the image of source element x,
+        computed on first use and kept; it means something only once
+        check() passes.  _Layout.share hands every hom object for one map
+        over one layout the same tuple."""
         if self._images is None:
-            key = (self.target, self.gen_images)
-            known = self.source._hom_images
-            if key not in known:
-                known[key] = self._image_tuple()
-            self._images = known[key]
+            self._images = self._image_tuple()
         return self._images
 
     def _image_tuple(self) -> tuple:
-        # source element (d, rest) maps to d times the first generator's
-        # image plus the image of rest, digit-wise (index reduces mod the
-        # target orders): grow from the last factor
-        images = [[0] * len(self.target.cyclic_orders)]
-        for k, img in zip(reversed(self.source.cyclic_orders), reversed(self.gen_images)):
-            images = [[d * v + w for v, w in zip(img, rest)]
-                      for d in range(k) for rest in images]
-        return tuple(map(self.target.index, images))
+        # digit j of the image of source element (d, rest) is d times digit
+        # j of the first generator's image plus digit j of rest's image, mod
+        # the j-th target order: grow each digit column from the last source
+        # factor, then add it in at its place value in the target index
+        images = [0] * self.source.order
+        place = 1
+        for j, m in reversed(tuple(enumerate(self.target.cyclic_orders))):
+            column = [0]
+            for k, img in zip(reversed(self.source.cyclic_orders), reversed(self.gen_images)):
+                v = img[j]
+                column = [(d * v + w) % m for d in range(k) for w in column]
+            images = [i + place * c for i, c in zip(images, column)]
+            place *= m
+        return tuple(images)
 
     @property
     def gen_indices(self) -> tuple:
@@ -175,10 +173,9 @@ class ConnectingHom:
                 return "image tuple length"
         if len(self.gen_images) != len(self.source.cyclic_orders):
             return "one image per source generator"
-        for i, a in enumerate(self.source.cyclic_orders):
-            for d, k in zip(self.gen_images[i], self.target.cyclic_orders):
-                if (a * d) % k != 0:
-                    return f"generator {i} image order"
+        for i, (a, img) in enumerate(zip(self.source.cyclic_orders, self.gen_images)):
+            if not _kills(a, img, self.target):
+                return f"generator {i} image order"
         return None
 
     @classmethod
@@ -186,6 +183,11 @@ class ConnectingHom:
         """second after first (first.target must be second.source)."""
         images = map(second.target.element, _composite_indices(first, second))
         return cls(first.source, second.target, images)
+
+
+def _kills(a: int, digits, group: FiniteAbelianGroup) -> bool:
+    """Whether a times the element of group with these digits is 0."""
+    return all(a * d % k == 0 for d, k in zip(digits, group.cyclic_orders))
 
 
 def _composite_indices(first: ConnectingHom, second: ConnectingHom) -> tuple:
@@ -198,11 +200,15 @@ class _Layout:
     groups derives without reading its homs: the block offsets, block_of
     and member_of, the generating set, the block addition tables with the
     offsets folded in, the block identities, and, when a diagonal is asked
-    for, the inverses and the offset Moebius supports of the blocks."""
+    for, the inverses and the offset Moebius supports of the blocks.  It
+    also keeps the image tuple of each hom its instances use (see share),
+    until the skeleton's next layout replaces it."""
 
     def __init__(self, skeleton: Semilattice, groups: tuple):
         self.skeleton = skeleton
         self.groups = groups
+        # (source, target, gen_images) -> ConnectingHom.images of that map
+        self.hom_images = {}
         blocks = skeleton.canonical_perm
         offset = [0] * skeleton.n
         n = 0
@@ -226,6 +232,16 @@ class _Layout:
             elif s in irreducible:
                 gens.append(offset[s])
         self.generating_set = tuple(gens)
+
+    def share(self, hom: ConnectingHom) -> None:
+        """Give hom the image tuple of the first hom for the same map seen
+        over this layout, or, for the first, keep its own."""
+        key = (hom.source, hom.target, hom.gen_images)
+        known = self.hom_images.get(key)
+        if known is None:
+            self.hom_images[key] = hom.images
+        else:
+            hom._images = known
 
     @cached_property
     def inverses(self) -> tuple:
@@ -322,16 +338,13 @@ class CliffordSemigroup:
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"
 
 
-def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> tuple:
+def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> list:
     """Every gen_images tuple of a homomorphism source -> target, in the
-    lexicographic order of the target's digit tuples; listed on the first
-    call and kept on source."""
-    if target not in source._hom_choices:
-        digits = [target.element(x) for x in range(target.order)]
-        source._hom_choices[target] = tuple(
-            imgs for imgs in product(digits, repeat=len(source.cyclic_orders))
-            if ConnectingHom(source, target, imgs).check() is None)
-    return source._hom_choices[target]
+    lexicographic order of the target's digit tuples: each generator, of
+    order a, takes any image that a kills, as ConnectingHom.check asks."""
+    digits = [target.element(x) for x in range(target.order)]
+    return list(product(*([img for img in digits if _kills(a, img, target)]
+                          for a in source.cyclic_orders)))
 
 
 def _triples(skeleton: Semilattice, every_triple=False) -> list:
@@ -431,6 +444,11 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         full[(s, t)] = hom
     if violations:
         return ValidationReport(False, violations)
+    # the given homs take their image tuples from the layout; the trivial
+    # ones set their own, so a long chain stores none there
+    layout = _layout(skeleton, tuple(groups))
+    for hom in full.values():
+        layout.share(hom)
     for s in range(skeleton.n):
         for t in skeleton.strictly_below[s]:
             if (s, t) not in full:

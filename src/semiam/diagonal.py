@@ -161,9 +161,10 @@ def verify_diagonal(d: DiagonalTensor, u):
     cross-multiplying, with u given as ints or Fractions.
 
     Acceptance checks centrality on the base's generating set alone: if q
-    and r commute with D, so does qr.  A symmetric D is checked on one side
-    (see _central_when_symmetric).  Only a tensor that fails there walks
-    every q, which names the witness.
+    and r commute with D, so does qr.  Only a symmetric D can be central,
+    and it is checked on one side (see _central_when_symmetric).  Any
+    other tensor, and one that fails there, walks every q, which names the
+    witness.
     """
     base = d.base
     moment = [0] * base.n
@@ -178,12 +179,12 @@ def verify_diagonal(d: DiagonalTensor, u):
                 "lhs": Fraction(moment[r], d.den),
                 "rhs": Fraction(c),
             }
+    # l1 of a semilattice or Clifford semigroup is commutative and
+    # semisimple, so a D central for it is a sum of c_i e_i (x) e_i over its
+    # minimal idempotents e_i, hence symmetric: an asymmetric D fails below
     columns = tuple(zip(*d.rows))
-    if columns == d.rows:
-        central = (_central_when_symmetric(d, q) for q in base.generating_set())
-    else:
-        central = (_noncentral_pair(d, columns, q) is None for q in base.generating_set())
-    if all(central):
+    if columns == d.rows and all(
+            _central_when_symmetric(d, q) for q in base.generating_set()):
         return True, None
     q, (g, h, lhs, rhs) = next(
         (q, found) for q in range(base.n)

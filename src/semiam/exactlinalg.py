@@ -14,9 +14,10 @@ from fractions import Fraction
 from math import gcd
 
 
-# an optional sign, digits, and an optional /digits, with surrounding
-# whitespace: Fraction() would also take exponents, and expands 1e9999999
-_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+# an optional sign, digits, and an optional /digits, read after str.strip()
+# as Fraction() read them: it would also take exponents, and expands
+# 1e9999999
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def rat(value) -> Fraction:
@@ -34,7 +35,7 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
+        match = _RATIONAL.fullmatch(value.strip())
         if match is None:
             raise ValueError(f"not an integer or p/q string: {value!r}")
         numerator, denominator = match.groups()

@@ -181,9 +181,9 @@ def test_gap_instances_build_no_group_tables(monkeypatch):
 
 
 def test_gap_search_derives_shared_data_once(monkeypatch):
-    # the 332 instances use 24 distinct connecting homs over 148
-    # (skeleton, groups) pairs: each image tuple and each layout is
-    # derived once, however many instances share it
+    # the 332 instances fall into 148 (skeleton, groups) pairs: each layout
+    # is derived once, and past the listing each map's image tuple once per
+    # layout that uses it, however many instances share it
     counts = Counter()
     real_images, real_layout = ConnectingHom._image_tuple, clifford._Layout.__init__
 
@@ -197,9 +197,27 @@ def test_gap_search_derives_shared_data_once(monkeypatch):
 
     monkeypatch.setattr(ConnectingHom, "_image_tuple", images)
     monkeypatch.setattr(clifford._Layout, "__init__", layout)
+    instances = gap_instances()
+    listing = counts["images"]
+    maps = {(inst.skeleton, inst.groups, inst.groups[s], inst.groups[t], images)
+            for inst in instances for (s, t), images in inst.homs.items()}
+    counts.clear()
     assert gap_search().instance_count == 332
-    assert 0 < counts["images"] <= 24
+    assert 0 < counts["images"] <= listing + len(maps)
     assert 0 < counts["layouts"] <= 148
+
+
+def test_groups_shared_by_a_search_keep_no_map_data():
+    # image tuples live on the layouts, and a skeleton's next layout
+    # replaces its last: a search over large groups with no map used twice
+    # would otherwise keep every image tuple it built until it ends
+    instances = gap_instances()
+    for inst in instances:
+        built = clifford.build_clifford(inst.skeleton, inst.groups, inst.homs)
+        clifford.unit_and_diagonal(built)
+    groups = {g for inst in instances for g in inst.groups}
+    assert {frozenset(vars(g)) for g in groups} == {
+        frozenset({"cyclic_orders", "order", "_generators"})}
 
 
 def test_gap_search_instance_limit_names_the_limit():

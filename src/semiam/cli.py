@@ -78,18 +78,19 @@ def _load_json(arg: str):
         raise _fail_invalid("json", str(exc))
 
 
-def _semilattice(obj) -> Semilattice:
-    result = semilattice_from_json(obj)
+def _accepted(result):
+    """result, unless it is a ValidationReport: that exits 2 with it."""
     if isinstance(result, ValidationReport):
         raise InputError(EXIT_INVALID, result.to_json_dict())
     return result
+
+
+def _semilattice(obj) -> Semilattice:
+    return _accepted(semilattice_from_json(obj))
 
 
 def _clifford(obj) -> clifford_mod.CliffordSemigroup:
-    result = clifford_mod.from_json_dict(obj)
-    if isinstance(result, ValidationReport):
-        raise InputError(EXIT_INVALID, result.to_json_dict())
-    return result
+    return _accepted(clifford_mod.from_json_dict(obj))
 
 
 def _semilattice_payload(s: Semilattice) -> dict:
@@ -103,7 +104,7 @@ def _semilattice_payload(s: Semilattice) -> dict:
         "ideal_chain": [sorted(part) for part in s.ideal_chain],
         "hasse": [list(e) for e in s.hasse],
         "perm": list(s.canonical_perm),
-        "unital": s.is_unital(),
+        "unital": s.top() is not None,
     }
 
 
@@ -216,7 +217,7 @@ def cmd_product(args) -> tuple:
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise _fail_invalid("input", "a and b")
-    p = product(_semilattice(obj["a"]), _semilattice(obj["b"]))
+    p = _accepted(product(_semilattice(obj["a"]), _semilattice(obj["b"])))
     payload = _semilattice_payload(p)
     payload["table"] = [list(row) for row in p.table]
     return payload, EXIT_OK
@@ -398,8 +399,6 @@ def _render_table(payload: dict, command: str) -> str:
             lines.append("ok")
         else:
             lines.append(f"FAIL {json.dumps(payload['witness'], sort_keys=True)}")
-    else:
-        lines.append(json.dumps(payload, sort_keys=True))
     return "\n".join(lines)
 
 

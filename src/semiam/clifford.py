@@ -50,8 +50,8 @@ class FiniteAbelianGroup:
     Elements are indexed 0..order-1 in lexicographic digit order, so the
     identity (all zeros) is index 0.  A group stores only its factor
     orders and generators: each Clifford layout builds its own block
-    addition tables and keeps the image tuples of the homs it meets, so a
-    group shared by many layouts holds no per-element data between them.
+    addition tables and each hom its own image tuple, so a group shared by
+    many layouts holds no per-element data between them.
     """
 
     def __init__(self, cyclic_orders):
@@ -119,19 +119,11 @@ class ConnectingHom:
         self.source = source
         self.target = target
         self.gen_images = tuple(tuple(map(int, img)) for img in gen_images)
-        self._images = self._gen_indices = None
 
-    @property
+    @cached_property
     def images(self) -> tuple:
-        """images[x] is the target index of the image of source element x,
-        computed on first use and kept; it means something only once
-        check() passes.  _Layout.share hands every hom object for one map
-        over one layout the same tuple."""
-        if self._images is None:
-            self._images = self._image_tuple()
-        return self._images
-
-    def _image_tuple(self) -> tuple:
+        """images[x] is the target index of the image of source element x;
+        it means something only once check() passes."""
         # digit j of the image of source element (d, rest) is d times digit
         # j of the first generator's image plus digit j of rest's image, mod
         # the j-th target order: grow each digit column from the last source
@@ -147,19 +139,17 @@ class ConnectingHom:
             place *= m
         return tuple(images)
 
-    @property
+    @cached_property
     def gen_indices(self) -> tuple:
         """The target index of each generator image, digits reduced: two
         valid homs between the same groups are equal iff these are."""
-        if self._gen_indices is None:
-            self._gen_indices = tuple(map(self.target.index, self.gen_images))
-        return self._gen_indices
+        return tuple(map(self.target.index, self.gen_images))
 
     @classmethod
     def trivial(cls, source, target):
         img = tuple([0] * len(target.cyclic_orders) for _ in source.cyclic_orders)
         hom = cls(source, target, img)
-        hom._images = (0,) * source.order  # every element maps to the identity
+        hom.images = (0,) * source.order  # every element maps to the identity
         return hom
 
     def check(self):
@@ -200,15 +190,11 @@ class _Layout:
     groups derives without reading its homs: the block offsets, block_of
     and member_of, the generating set, the block addition tables with the
     offsets folded in, the block identities, and, when a diagonal is asked
-    for, the inverses and the offset Moebius supports of the blocks.  It
-    also keeps the image tuple of each hom its instances use (see share),
-    until the skeleton's next layout replaces it."""
+    for, the inverses and the offset Moebius supports of the blocks."""
 
     def __init__(self, skeleton: Semilattice, groups: tuple):
         self.skeleton = skeleton
         self.groups = groups
-        # (source, target, gen_images) -> ConnectingHom.images of that map
-        self.hom_images = {}
         blocks = skeleton.canonical_perm
         offset = [0] * skeleton.n
         n = 0
@@ -232,16 +218,6 @@ class _Layout:
             elif s in irreducible:
                 gens.append(offset[s])
         self.generating_set = tuple(gens)
-
-    def share(self, hom: ConnectingHom) -> None:
-        """Give hom the image tuple of the first hom for the same map seen
-        over this layout, or, for the first, keep its own."""
-        key = (hom.source, hom.target, hom.gen_images)
-        known = self.hom_images.get(key)
-        if known is None:
-            self.hom_images[key] = hom.images
-        else:
-            hom._images = known
 
     @cached_property
     def inverses(self) -> tuple:
@@ -320,9 +296,6 @@ class CliffordSemigroup:
                 digits = ".".join(str(d) for d in self.groups[s].element(i))
                 labels.append(f"{lbl}[{digits}]")
         return tuple(labels)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
 
     def generating_set(self) -> tuple:
         """The cyclic generators of every block, plus the identity of each
@@ -433,7 +406,8 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         return ValidationReport(False, [Violation("groups", (len(groups),))])
     full = {}
     for (s, t), gen_images in (homs or {}).items():
-        if not (0 <= s < skeleton.n and 0 <= t < skeleton.n) or not skeleton.lt(t, s):
+        if not (0 <= s < skeleton.n and 0 <= t < skeleton.n
+                and t != s and skeleton.leq[t][s]):
             violations.append(Violation("hom_pair", (s, t)))
             continue
         hom = ConnectingHom(groups[s], groups[t], gen_images)
@@ -444,11 +418,6 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         full[(s, t)] = hom
     if violations:
         return ValidationReport(False, violations)
-    # the given homs take their image tuples from the layout; the trivial
-    # ones set their own, so a long chain stores none there
-    layout = _layout(skeleton, tuple(groups))
-    for hom in full.values():
-        layout.share(hom)
     for s in range(skeleton.n):
         for t in skeleton.strictly_below[s]:
             if (s, t) not in full:
@@ -662,7 +631,8 @@ def from_json_dict(obj):
 
     Returns CliffordSemigroup or ValidationReport.  Group entries look like
     {"cyclic": [2]} (or a bare order list); hom entries are
-    {"from": s, "to": t, "gen_images": [[...], ...]}.  More than
+    {"from": s, "to": t, "gen_images": [[...], ...]}, at most one per
+    (s, t) pair: a repeated pair is a "hom_pair" violation.  More than
     MAX_ELEMENTS elements in all is a "size" violation at the block that
     passes the bound, found before any group is built.
     """
@@ -706,5 +676,8 @@ def from_json_dict(obj):
             )
         ):
             return ValidationReport(False, [Violation("hom_entry", ())])
-        homs[(entry["from"], entry["to"])] = entry["gen_images"]
+        pair = (entry["from"], entry["to"])
+        if pair in homs:  # given twice: neither entry may silently win
+            return ValidationReport(False, [Violation("hom_pair", pair)])
+        homs[pair] = entry["gen_images"]
     return build_clifford(skel, groups, homs)

@@ -46,7 +46,7 @@ def first_unit_failure(base, u, elements):
     for q in elements:
         image = [0] * base.n
         for x, c in support:
-            image[base.mul(x, q)] += c
+            image[base.table[x][q]] += c
         delta_q = [0] * base.n
         delta_q[q] = 1
         if image != delta_q:

@@ -229,20 +229,20 @@ class GapReport:
         self.violations = violations  # GapInstances with 5 < am < 9
         self.ok = not violations
 
-    def min_am_beyond(self, threshold=5) -> Fraction | None:
-        beyond = [v for v, _ in self.am_counts if v > threshold]
+    def min_am_beyond(self) -> Fraction | None:
+        """The least AM above 5 in the family, or None."""
+        beyond = [v for v, _ in self.am_counts if v > 5]
         return min(beyond) if beyond else None
 
     def to_json_dict(self):
+        least = self.min_am_beyond()
         return {
             "skeleton_max_size": self.skeleton_max_size,
             "max_cyclic_order": self.max_cyclic_order,
             "instances": self.instance_count,
             "am_counts": [[rat_str(v), c] for v, c in self.am_counts],
             "violations": [v.to_json_dict() for v in self.violations],
-            "min_am_above_5": (
-                None if self.min_am_beyond() is None else rat_str(self.min_am_beyond())
-            ),
+            "min_am_above_5": None if least is None else rat_str(least),
             "ok": self.ok,
         }
 

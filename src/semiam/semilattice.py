@@ -192,10 +192,6 @@ class Semilattice:
                     covers.append((s, t))
         self.hasse = tuple(sorted(covers))
 
-    # shared protocol with CliffordSemigroup: the semigroup product
-    def mul(self, s: int, t: int) -> int:
-        return self.table[s][t]
-
     def generating_set(self) -> tuple:
         """The meet-irreducibles: elements with at most one upper cover.
 
@@ -207,9 +203,6 @@ class Semilattice:
             upper_covers[s] += 1
         return tuple(s for s in range(self.n) if upper_covers[s] <= 1)
 
-    def lt(self, s: int, t: int) -> bool:
-        return s != t and self.leq[s][t]
-
     def down_set(self, s: int) -> frozenset:
         return frozenset(t for t in range(self.n) if self.leq[t][s])
 
@@ -218,24 +211,8 @@ class Semilattice:
 
     def top(self):
         """The maximum element, or None when there is none."""
-        mx = self.maximal()
-        if len(mx) == 1:
-            return next(iter(mx))
-        return None
-
-    def is_unital(self) -> bool:
-        return self.top() is not None
-
-    def maximal(self, subset=None) -> frozenset:
-        """Maximal elements of subset (default: the whole semilattice)."""
-        if subset is None:
-            subset = range(self.n)
-        subset = frozenset(subset)
-        return frozenset(
-            s
-            for s in subset
-            if all(t not in subset for t in self.strictly_above[s])
-        )
+        maximal = [s for s in range(self.n) if not self.strictly_above[s]]
+        return maximal[0] if len(maximal) == 1 else None
 
     def __eq__(self, other):
         return isinstance(other, Semilattice) and self.table == other.table
@@ -302,8 +279,19 @@ def from_hasse(n: int, covers, labels=None):
     return Semilattice(table, labels)
 
 
-def product(a: Semilattice, b: Semilattice) -> Semilattice:
-    """Direct product; element (i, j) sits at index i*b.n + j."""
+def product(a: Semilattice, b: Semilattice):
+    """Direct product; element (i, j) sits at index i*b.n + j, labelled
+    "(label i,label j)".
+
+    Returns a ValidationReport with a "labels" violation naming the first
+    label that two pairs share, as ("x,y", "z") and ("x", "y,z") do.
+    """
+    labels = [f"({x},{y})" for x in a.labels for y in b.labels]
+    seen = set()
+    for label in labels:
+        if label in seen:
+            return ValidationReport(False, [Violation("labels", (label,))])
+        seen.add(label)
     nb = b.n
     n = a.n * nb
     table = [[0] * n for _ in range(n)]
@@ -311,11 +299,6 @@ def product(a: Semilattice, b: Semilattice) -> Semilattice:
         p = i1 * nb + j1
         for i2, j2 in iproduct(range(a.n), range(nb)):
             table[p][i2 * nb + j2] = a.table[i1][i2] * nb + b.table[j1][j2]
-    labels = [
-        f"({a.labels[i]},{b.labels[j]})"
-        for i in range(a.n)
-        for j in range(nb)
-    ]
     return Semilattice(table, labels)
 
 

@@ -2,8 +2,8 @@
 
 Two enumeration strategies that back up enumerate_by_extension,
 relabelling and an isomorphism search, the diagonal of a product built
-from its factors, and the down-set (Schutzenberger) transform with its
-Moebius inverse.  Elements
+from its factors, the down-set (Schutzenberger) transform with its
+Moebius inverse, and the zeta identity of a diagonal.  Elements
 of the algebra are coefficient tuples indexed by element id, as the unit
 is in the library.
 """
@@ -174,3 +174,22 @@ def schutzenberger_inverse(base: Semilattice, values) -> tuple:
         sum(columns[s][t] * values[s] for s in range(base.n) if base.leq[t][s])
         for t in range(base.n)
     )
+
+
+def zeta_identity_holds(d: DiagonalTensor) -> bool:
+    """Whether Z D Z^T = I, for D = d.rows / d.den over a semilattice and
+    Z[t][s] = [t <= s].
+
+    The characters of the semilattice algebra are s -> [t <= s], one per t,
+    and a diagonal D of the algebra satisfies (chi_a (x) chi_b)(D) = [a = b]:
+    the Gelfand transform takes it to the diagonal of C^n.  The check needs
+    neither a generating set nor the unit.  Z is unitriangular in canonical
+    order, so no other tensor passes.
+    """
+    base = d.base
+    up = [(t,) + base.strictly_above[t] for t in range(base.n)]
+    columns = tuple(zip(*d.rows))
+    # zd[a][y] = sum of D[s][y] over s >= a, then the same on the right
+    zd = [[sum(map(column.__getitem__, above)) for column in columns] for above in up]
+    sandwich = [[sum(map(row.__getitem__, above)) for above in up] for row in zd]
+    return sandwich == [[d.den * (a == b) for b in range(base.n)] for a in range(base.n)]

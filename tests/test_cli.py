@@ -204,6 +204,16 @@ def test_product_of_chains(capsys):
     ]
 
 
+def test_product_with_a_repeated_label_exits_2(capsys):
+    # ("x,y", "z") and ("x", "y,z") both print as (x,y,z)
+    doc = {"a": {"table": [[0, 0], [0, 1]], "labels": ["x,y", "x"]},
+           "b": {"table": [[0, 0], [0, 1]], "labels": ["z", "y,z"]}}
+    code, payload, err = run_json(capsys, "product", json.dumps(doc))
+    assert code == 2
+    assert payload["violations"] == [{"axiom": "labels", "witness": ["(x,y,z)"]}]
+    assert err == ""
+
+
 def test_product_requires_both_factors(capsys):
     code, payload, _ = run_json(capsys, "product", json.dumps({"a": {"table": [[0]]}}))
     assert code == 2
@@ -354,6 +364,18 @@ def test_malformed_gen_images_exit_2(capsys, command, images):
     code, payload, err = run_json(capsys, command, json.dumps(doc))
     assert code == 2
     assert payload["violations"] == [{"axiom": "hom_entry", "witness": []}]
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["clifford", "verify"])
+def test_a_hom_pair_given_twice_exits_2(capsys, command):
+    doc = _chain_z2_doc(homs=[{"from": 1, "to": 0, "gen_images": [[1]]},
+                              {"from": 1, "to": 0, "gen_images": [[0]]}])
+    if command == "verify":
+        doc = {"base": doc, "diagonal": [[0] * 4 for _ in range(4)]}
+    code, payload, err = run_json(capsys, command, json.dumps(doc))
+    assert code == 2
+    assert payload["violations"] == [{"axiom": "hom_pair", "witness": [1, 0]}]
     assert err == ""
 
 

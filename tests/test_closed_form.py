@@ -168,7 +168,7 @@ def _first_failing_equation(d: DiagonalTensor, u: tuple):
     for g in range(n):
         row = d.entries[g]
         for h in range(n):
-            moment[base.mul(g, h)] += row[h]
+            moment[base.table[g][h]] += row[h]
     for r in range(n):
         if moment[r] != u[r]:
             return False, {
@@ -180,7 +180,7 @@ def _first_failing_equation(d: DiagonalTensor, u: tuple):
     pre = [[[] for _ in range(n)] for _ in range(n)]
     for q in range(n):
         for x in range(n):
-            pre[q][base.mul(q, x)].append(x)
+            pre[q][base.table[q][x]].append(x)
     for q in range(n):
         pq = pre[q]
         for g in range(n):
@@ -210,7 +210,7 @@ def _moment_keeping_pairs(base):
     by_product = {}
     for a in range(base.n):
         for b in range(base.n):
-            by_product.setdefault(base.mul(a, b), []).append((a, b))
+            by_product.setdefault(base.table[a][b], []).append((a, b))
     for cells in by_product.values():
         for first, second in zip(cells, cells[1:]):
             yield first, second

@@ -15,11 +15,13 @@ from semiam.clifford import (
     hom_systems,
     unit_solve,
 )
-from semiam.diagonal import diagonal_recursive, unit, verify_diagonal
+from semiam.diagonal import DiagonalTensor, diagonal_recursive, unit, verify_diagonal
 from semiam.enumeration import enumerate_semilattices
 from semiam.moebius import diagonal_via_mobius
-from semiam.semilattice import Semilattice, validate
+from semiam.semilattice import Semilattice, flat, power_set, validate
 
+from conftest import make_six
+from oracles import zeta_identity_holds
 from test_semilattice import random_family_table
 
 
@@ -35,6 +37,7 @@ def test_engines_agree_on_random_families_up_to_128():
         d = diagonal_recursive(s)
         assert d == diagonal_via_mobius(s)
         assert verify_diagonal(d, u) == (True, None)
+        assert zeta_identity_holds(d)
         am = d.am()
         assert am.denominator == 1
         assert am % 4 == 1
@@ -42,6 +45,17 @@ def test_engines_agree_on_random_families_up_to_128():
         if n <= 10:
             trivial = build_clifford(s, [FiniteAbelianGroup([1])] * n, {})
             assert collapse(diagonal_solve(trivial)) == d
+
+
+def test_zeta_identity_rejects_any_changed_entry():
+    for s in (make_six(), power_set(2), flat(3)):
+        d = diagonal_via_mobius(s)
+        assert zeta_identity_holds(d)
+        for a in range(s.n):
+            for b in range(s.n):
+                rows = [list(row) for row in d.rows]
+                rows[a][b] += 1
+                assert not zeta_identity_holds(DiagonalTensor(s, rows, d.den))
 
 
 def test_clifford_engines_agree_on_random_block_systems():

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import are_isomorphic, enumerate_brute, enumerate_by_families, relabel
 from semiam import clifford
-from semiam.clifford import ConnectingHom, FiniteAbelianGroup, hom_systems
+from semiam.clifford import FiniteAbelianGroup, hom_systems
 from semiam.enumeration import (
     InstanceLimitError,
     canonical_table,
@@ -182,35 +182,23 @@ def test_gap_instances_build_no_group_tables(monkeypatch):
 
 def test_gap_search_derives_shared_data_once(monkeypatch):
     # the 332 instances fall into 148 (skeleton, groups) pairs: each layout
-    # is derived once, and past the listing each map's image tuple once per
-    # layout that uses it, however many instances share it
+    # is derived once, however many instances share it
     counts = Counter()
-    real_images, real_layout = ConnectingHom._image_tuple, clifford._Layout.__init__
-
-    def images(self):
-        counts["images"] += 1
-        return real_images(self)
+    real_layout = clifford._Layout.__init__
 
     def layout(self, *args):
         counts["layouts"] += 1
         real_layout(self, *args)
 
-    monkeypatch.setattr(ConnectingHom, "_image_tuple", images)
     monkeypatch.setattr(clifford._Layout, "__init__", layout)
-    instances = gap_instances()
-    listing = counts["images"]
-    maps = {(inst.skeleton, inst.groups, inst.groups[s], inst.groups[t], images)
-            for inst in instances for (s, t), images in inst.homs.items()}
-    counts.clear()
     assert gap_search().instance_count == 332
-    assert 0 < counts["images"] <= listing + len(maps)
     assert 0 < counts["layouts"] <= 148
 
 
 def test_groups_shared_by_a_search_keep_no_map_data():
-    # image tuples live on the layouts, and a skeleton's next layout
-    # replaces its last: a search over large groups with no map used twice
-    # would otherwise keep every image tuple it built until it ends
+    # image tuples live on the homs, not on the groups: a search over large
+    # groups with no map used twice would otherwise keep every image tuple
+    # it built until it ends
     instances = gap_instances()
     for inst in instances:
         built = clifford.build_clifford(inst.skeleton, inst.groups, inst.homs)
@@ -236,7 +224,6 @@ def test_gap_search_small_family_golden():
         (Fraction(5), 5),
     ]
     assert report.min_am_beyond() is None
-    assert report.min_am_beyond(threshold=1) == 5
     payload = report.to_json_dict()
     assert payload["instances"] == 7
     assert payload["ok"] is True

@@ -119,10 +119,7 @@ def _semilattice_diagonal(s: Semilattice, method: str) -> DiagonalTensor:
     if method == "moebius":
         return diagonal_via_mobius(s)
     if method == "solver":
-        trivial = clifford_mod.build_clifford(
-            s, [clifford_mod.FiniteAbelianGroup([1]) for _ in range(s.n)], {}
-        )
-        return clifford_mod.collapse(clifford_mod.diagonal_solve(trivial))
+        return clifford_mod.diagonal_solve(s)
     raise ValueError(method)
 
 

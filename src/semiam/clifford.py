@@ -1,7 +1,7 @@
 """Commutative Clifford semigroups: abelian group blocks glued over a
 semilattice skeleton by connecting homomorphisms, and the diagonal of their
-convolution algebras, in closed form and, as an independent oracle, by an
-exact linear solve.
+convolution algebras, in closed form and, as an independent oracle for
+these and for plain semilattices, by an exact linear solve.
 
 An element is a pair (block, group element); the product pushes both
 factors down to the meet of their blocks and multiplies there.  With all
@@ -458,17 +458,17 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     return semigroup
 
 
-def unit_solve(g: CliffordSemigroup) -> tuple:
-    """Solve u * delta_x = delta_x for all x; the unit of the algebra, as
-    the eliminator's exact values by element id."""
-    n = g.n
+def unit_solve(base) -> tuple:
+    """Solve u * delta_x = delta_x for all x over base, a Semilattice or a
+    CliffordSemigroup; the unit, as the eliminator's exact values by id."""
+    n = base.n
     elim = SparseEliminator(n)
     for x in range(n):
         if elim.full_rank():
             break
         rows = [{} for _ in range(n)]
         for h in range(n):
-            rows[g.table[h][x]][h] = 1
+            rows[base.table[h][x]][h] = 1
         for r in range(n):
             elim.add_row(rows[r], 1 if r == x else 0, tag=(x, r))
             if elim.full_rank():
@@ -476,7 +476,7 @@ def unit_solve(g: CliffordSemigroup) -> tuple:
     sol = elim.solve()
     if sol.status != "unique":
         raise NotUnitalError(f"algebra is not unital ({sol.status})")
-    q = first_unit_failure(g, sol.vector, range(n))
+    q = first_unit_failure(base, sol.vector, range(n))
     if q is not None:
         raise NotUnitalError(f"algebra is not unital (fails at element {q})")
     return sol.vector
@@ -534,8 +534,9 @@ def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
     return u, d
 
 
-def diagonal_solve(g: CliffordSemigroup) -> DiagonalTensor:
-    """Exact linear solve for the diagonal of the Clifford algebra.
+def diagonal_solve(base) -> DiagonalTensor:
+    """Exact linear solve for the diagonal of the algebra of base, read
+    through n, table and generating_set() as verify_diagonal reads it.
 
     The system is the moment condition m(D) = u plus centrality against
     every basis element.  Centrality rows are fed for a generating set
@@ -543,26 +544,26 @@ def diagonal_solve(g: CliffordSemigroup) -> DiagonalTensor:
     with the remaining elements as a fallback, and the finished tensor is
     re-verified against the complete condition set.
     """
-    n = g.n
-    u = unit_solve(g)
+    n = base.n
+    u = unit_solve(base)
     unknowns = n * n
     elim = SparseEliminator(unknowns)
     moment_rows = [{} for _ in range(n)]
     for x in range(n):
-        row = g.table[x]
+        row = base.table[x]
         for y in range(n):
             key = x * n + y
             moment_rows[row[y]][key] = moment_rows[row[y]].get(key, 0) + 1
     for r in range(n):
         elim.add_row(moment_rows[r], u[r], tag=("moment", r))
-    gens = list(g.generating_set())
-    rest = [q for q in range(n) if q not in set(gens)]
+    gens = list(base.generating_set())
+    rest = sorted(set(range(n)).difference(gens))
     for q in gens + rest:
         if elim.full_rank():
             break
         pre = [[] for _ in range(n)]
         for x in range(n):
-            pre[g.table[q][x]].append(x)
+            pre[base.table[q][x]].append(x)
         for a in range(n):
             if elim.full_rank():
                 break
@@ -587,7 +588,7 @@ def diagonal_solve(g: CliffordSemigroup) -> DiagonalTensor:
     entries = [
         [sol.vector[a * n + b] for b in range(n)] for a in range(n)
     ]
-    d = DiagonalTensor(g, entries)
+    d = DiagonalTensor(base, entries)
     ok, witness = verify_diagonal(d, u)
     if not ok:
         raise DiagonalSolveError(f"solved tensor fails verification: {witness}")
@@ -659,7 +660,7 @@ def from_json_dict(obj):
     if block is not None:
         return ValidationReport(False, [Violation("size", (block,))])
     groups = [FiniteAbelianGroup(entry) for entry in orders]
-    raw_homs = obj.get("homs") or []
+    raw_homs = [] if obj.get("homs") is None else obj["homs"]
     if not isinstance(raw_homs, list):
         return ValidationReport(False, [Violation("hom_entry", ())])
     homs = {}

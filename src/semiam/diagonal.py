@@ -11,7 +11,6 @@ sum is the amenability constant of the algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add
@@ -85,11 +84,6 @@ class DiagonalTensor:
     @property
     def n(self) -> int:
         return self.base.n
-
-    @cached_property
-    def entries(self) -> tuple:
-        """The entries as Fractions, row by row."""
-        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.rows)
 
     def am(self) -> Fraction:
         """Amenability constant: the absolute sum of all entries."""

@@ -2,8 +2,9 @@
 
 No floats appear anywhere.  The diagonal engines compute in ints; scalars
 returned are stdlib Fractions (already reduced, positive denominator).  The
-sparse eliminator behind the Clifford solver oracle reports unsolvable or
-underdetermined systems with a witness instead of guessing.
+sparse eliminator behind the solver oracle takes int rows with a rational
+right hand side, and reports unsolvable or underdetermined systems with a
+witness instead of guessing.
 """
 
 from __future__ import annotations
@@ -80,36 +81,20 @@ class LinearSolution(namedtuple(
 class SparseEliminator:
     """Incremental exact Gaussian elimination over the rationals.
 
-    Rows come in as {column: coefficient} plus a right hand side; each is
-    scaled to a primitive integer vector, reduced against the pivots seen so
-    far, and kept only if it contributes a new pivot.  Feeding rows lazily
-    and stopping at full rank is the cheap path the Clifford solver relies
-    on.
+    Rows come in as {column: int coefficient} plus a rational right hand
+    side; each is scaled by that side's denominator to a primitive integer
+    vector, reduced against the pivots seen so far, and kept only if it
+    contributes a new pivot.  Feeding rows lazily and stopping at full rank
+    is the cheap path the solver oracle relies on.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, tuple[dict, int]] = {}
-        self.order: list[int] = []  # pivot columns in insertion order
+        self.pivot_rows: dict[int, tuple[dict, int]] = {}  # in insertion order
         self.inconsistent: object | None = None
 
     def full_rank(self) -> bool:
         return len(self.pivot_rows) == self.ncols
-
-    def _integerize(self, coeffs: dict, rhs) -> tuple[dict, int]:
-        row = {}
-        scale = 1
-        for c, v in coeffs.items():
-            v = rat(v)
-            if v:
-                row[c] = v
-                scale = scale * v.denominator // gcd(scale, v.denominator)
-        rhs = rat(rhs)
-        if rhs:
-            scale = scale * rhs.denominator // gcd(scale, rhs.denominator)
-        irow = {c: int(v * scale) for c, v in row.items()}
-        irhs = int(rhs * scale)
-        return irow, irhs
 
     @staticmethod
     def _normalize(row: dict, rhs: int) -> tuple[dict, int]:
@@ -124,12 +109,14 @@ class SparseEliminator:
         return row, rhs
 
     def add_row(self, coeffs: dict, rhs, tag=None) -> str:
-        """Reduce one equation into the basis.
+        """Reduce one equation, {column: int coefficient} = rhs, into the
+        basis; rhs is anything rat() reads.
 
         Returns 'pivot', 'dependent', or 'inconsistent'.
         """
-        row, irhs = self._integerize(coeffs, rhs)
-        row, irhs = self._normalize(row, irhs)
+        rhs = rat(rhs)
+        row = {c: v * rhs.denominator for c, v in coeffs.items() if v}
+        row, irhs = self._normalize(row, rhs.numerator)
         while True:
             common = row.keys() & self.pivot_rows.keys()
             if not common:
@@ -159,7 +146,6 @@ class SparseEliminator:
             return "dependent"
         pivot = min(row)
         self.pivot_rows[pivot] = (row, irhs)
-        self.order.append(pivot)
         return "pivot"
 
     def solve(self) -> LinearSolution:
@@ -171,8 +157,7 @@ class SparseEliminator:
         # A stored row only mentions columns that were not yet pivots at its
         # insertion time, so reverse insertion order is back-substitutable.
         x: list = [None] * self.ncols
-        for pivot in reversed(self.order):
-            row, rhs = self.pivot_rows[pivot]
+        for pivot, (row, rhs) in reversed(self.pivot_rows.items()):
             acc = Fraction(rhs)
             for col, v in row.items():
                 if col != pivot:

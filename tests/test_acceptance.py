@@ -39,45 +39,30 @@ from semiam.semilattice import chain, flat, flat_with_top, from_hasse, power_set
 from test_clifford import G2_MATRIX
 
 
-def frozen(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
 def all_classes(max_size):
     for size in range(1, max_size + 1):
         for s in enumerate_semilattices(size):
             yield s
 
 
-def solver_diagonal(s):
-    trivial = build_clifford(s, [FiniteAbelianGroup([1])] * s.n, {})
-    assert isinstance(trivial, CliffordSemigroup)
-    return collapse(diagonal_solve(trivial))
-
-
 def test_golden_diagonal_matrices_exact():
-    assert diagonal_recursive(chain(1)).entries == frozen(
-        ((2, -1), (-1, 1))
-    )
-    assert diagonal_recursive(chain(2)).entries == frozen(
-        ((2, -1, 0), (-1, 2, -1), (0, -1, 1))
-    )
-    assert diagonal_recursive(flat(2)).entries == frozen(
-        ((3, -1, -1), (-1, 1, 0), (-1, 0, 1))
-    )
-    assert diagonal_recursive(flat_with_top(2)).entries == frozen(
-        ((4, -2, -2, 1), (-2, 2, 1, -1), (-2, 1, 2, -1), (1, -1, -1, 1))
-    )
-    assert diagonal_recursive(make_six()).entries == frozen(
-        (
+    goldens = [
+        (chain(1), ((2, -1), (-1, 1))),
+        (chain(2), ((2, -1, 0), (-1, 2, -1), (0, -1, 1))),
+        (flat(2), ((3, -1, -1), (-1, 1, 0), (-1, 0, 1))),
+        (flat_with_top(2),
+         ((4, -2, -2, 1), (-2, 2, 1, -1), (-2, 1, 2, -1), (1, -1, -1, 1))),
+        (make_six(), (
             (6, -2, -2, 0, -2, 1),
             (-2, 2, 1, -1, 0, 0),
             (-2, 1, 2, -1, 0, 0),
             (0, -1, -1, 2, 1, -1),
             (-2, 0, 0, 1, 2, -1),
             (1, 0, 0, -1, -1, 1),
-        )
-    )
+        )),
+    ]
+    for s, matrix in goldens:
+        assert diagonal_recursive(s) == DiagonalTensor(s, matrix)
     assert diagonal_recursive(make_six()).am() == 41
 
 
@@ -96,7 +81,7 @@ def test_clifford_family_constants_exact():
     for n in range(2, 7):
         d = diagonal_solve(make_g(n))
         assert d.am() == 41 + Fraction(4 * (n - 1), n)
-    assert diagonal_solve(make_g(2)).entries == frozen(G2_MATRIX)
+    assert diagonal_solve(make_g(2)) == DiagonalTensor(make_g(2), G2_MATRIX)
 
 
 def test_three_engines_agree_on_every_class_through_size_six():
@@ -105,7 +90,7 @@ def test_three_engines_agree_on_every_class_through_size_six():
         recursive, moebius = diagonal_recursive(s), diagonal_via_mobius(s)
         assert zeta_identity_holds(recursive)
         assert zeta_identity_holds(moebius)
-        assert recursive.entries == moebius.entries == solver_diagonal(s).entries
+        assert recursive == moebius == diagonal_solve(s)
         total += 1
     assert total == 77
 
@@ -125,12 +110,13 @@ def test_lower_bound_and_diagonal_parity():
         d = diagonal_recursive(s)
         am = d.am()
         assert am >= 2 * s.n - 1
-        assert d.entries[s.minimum][s.minimum] >= 1
+        assert d.den == 1
+        assert d.rows[s.minimum][s.minimum] >= 1
         top = s.top()
         if top is not None:
             for p in range(s.n):
                 if p != top:
-                    assert d.entries[p][p] % 2 == 0
+                    assert d.rows[p][p] % 2 == 0
 
 
 def test_diagonal_shape_invariants():
@@ -150,7 +136,7 @@ def test_collapse_matches_skeleton_and_constant_dominates():
     for n in range(2, 7):
         g = make_g(n)
         d = diagonal_solve(g)
-        assert collapse(d).entries == six_d.entries
+        assert collapse(d) == six_d
         assert d.am() >= six_d.am()
     rng = random.Random(7)
     skeletons = [chain(1), chain(2), flat(2), from_hasse(4, [(0, 1), (1, 2), (1, 3)])]
@@ -164,7 +150,7 @@ def test_collapse_matches_skeleton_and_constant_dominates():
         assert isinstance(g, CliffordSemigroup)
         d = diagonal_solve(g)
         skel_d = diagonal_recursive(skel)
-        assert collapse(d).entries == skel_d.entries
+        assert collapse(d) == skel_d
         assert d.am() >= skel_d.am()
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -135,9 +136,23 @@ def test_diagonal_methods_agree(capsys):
     assert all(p == outputs[0] for p in outputs)
 
 
+@pytest.mark.parametrize("method", ["solver", "all"])
+def test_solver_method_builds_no_clifford_semigroup(capsys, monkeypatch, method):
+    import semiam.clifford as clifford_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a semilattice was built as a Clifford semigroup")
+
+    monkeypatch.setattr(clifford_mod, "build_clifford", refuse)
+    for doc, am in ((SIX_JSON, "41"), (BROOM_JSON, "13")):
+        code, payload, err = run_json(capsys, "am", doc, "--method", method)
+        assert (code, err) == (0, "")
+        assert payload["am"] == am
+
+
 def test_method_mismatch_exits_3(capsys, monkeypatch):
     six = make_six()
-    wrong = [[v for v in row] for row in diagonal_recursive(six).entries]
+    wrong = [list(row) for row in diagonal_recursive(six).rows]
     wrong[0][0] += 1
 
     monkeypatch.setattr(
@@ -380,9 +395,20 @@ def test_a_hom_pair_given_twice_exits_2(capsys, command):
 
 
 def test_malformed_homs_list_exits_2(capsys):
-    code, payload, _ = run_json(capsys, "clifford", json.dumps(_chain_z2_doc(homs=5)))
-    assert code == 2
-    assert payload["violations"][0]["axiom"] == "hom_entry"
+    # falsy values too: only a missing key or null means "no homs"
+    for homs in (5, 7, {"a": 1}, {}, 0, False, ""):
+        code, payload, _ = run_json(capsys, "clifford", json.dumps(_chain_z2_doc(homs=homs)))
+        assert code == 2, homs
+        assert payload["violations"][0]["axiom"] == "hom_entry"
+
+
+def test_null_homs_mean_trivial_homs(capsys):
+    outputs = []
+    for doc in (_chain_z2_doc(homs=None), _chain_z2_doc(homs=[])):
+        code, payload, _ = run_json(capsys, "clifford", json.dumps(doc))
+        assert code == 0
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("entry", [{"cyclic": [True]}, [True], {"cyclic": [2, False]}])
@@ -684,3 +710,41 @@ def test_closed_stdout_exits_4_quietly(argv, buffered):
     child.stderr.close()
     assert child.wait(timeout=60) == cli.EXIT_IO
     assert err == b""
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ semiam ...` command in the
+    README's text example block; a command runs on until its quotes close."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```text\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    examples = []
+    i = 0
+    while i < len(lines):
+        command = lines[i][2:]
+        i += 1
+        while True:
+            try:
+                argv = shlex.split(command)
+                break
+            except ValueError:  # an open quote: the command goes on
+                command += "\n" + lines[i]
+                i += 1
+        output = []
+        while i < len(lines) and not lines[i].startswith("$ "):
+            output.append(lines[i])
+            i += 1
+        while output and not output[-1]:
+            output.pop()
+        assert argv[0] == "semiam"
+        examples.append((argv[1:], "".join(line + "\n" for line in output)))
+    return examples
+
+
+def test_readme_examples_print_their_text(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 4
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == expected, argv

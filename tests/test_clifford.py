@@ -25,7 +25,7 @@ from semiam.clifford import (
     hom_systems,
     unit_solve,
 )
-from semiam.diagonal import diagonal_recursive, verify_diagonal
+from semiam.diagonal import DiagonalTensor, diagonal_recursive, verify_diagonal
 from semiam.enumeration import enumerate_semilattices, gap_instances, gap_search
 from semiam.semilattice import (
     Semilattice,
@@ -46,10 +46,6 @@ G2_MATRIX = (
     (-2, 0, 0, 1, 0, 2, -1),
     (1, 0, 0, -1, 0, -1, 1),
 )
-
-
-def frozen(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
 def test_group_structure():
@@ -237,7 +233,7 @@ def test_trivial_groups_reproduce_the_skeleton():
     assert cs.n == 6
     assert cs.table == six.table
     d = diagonal_solve(cs)
-    assert d.entries == diagonal_recursive(six).entries
+    assert d == diagonal_recursive(six)
 
 
 def test_two_chain_with_sign_group_golden():
@@ -245,13 +241,7 @@ def test_two_chain_with_sign_group_golden():
     cs = build_clifford(skel, [FiniteAbelianGroup([1]), FiniteAbelianGroup([2])], {})
     assert cs.table == ((0, 0, 0), (0, 1, 2), (0, 2, 1))
     d = diagonal_solve(cs)
-    assert d.entries == frozen(
-        (
-            (2, Fraction(-1, 2), Fraction(-1, 2)),
-            (Fraction(-1, 2), Fraction(1, 2), 0),
-            (Fraction(-1, 2), 0, Fraction(1, 2)),
-        )
-    )
+    assert d == DiagonalTensor(cs, ((4, -1, -1), (-1, 1, 0), (-1, 0, 1)), den=2)
     assert d.am() == 5
 
 
@@ -260,10 +250,8 @@ def test_single_group_block_diagonal():
     for n in [2, 3, 5]:
         cs = build_clifford(chain(0), [FiniteAbelianGroup([n])], {})
         d = diagonal_solve(cs)
-        for g in range(n):
-            for h in range(n):
-                expect = Fraction(1, n) if cs.table[g][h] == 0 else Fraction(0)
-                assert d.entries[g][h] == expect
+        expect = [[int(cs.table[g][h] == 0) for h in range(n)] for g in range(n)]
+        assert d == DiagonalTensor(cs, expect, den=n)
         assert d.am() == 1
 
 
@@ -272,7 +260,7 @@ def test_seven_element_golden():
     assert cs.n == 7
     assert cs.labels == ("o", "s1", "s2", "e[s3]", "s3[1]", "s4", "1")
     d = diagonal_solve(cs)
-    assert d.entries == frozen(G2_MATRIX)
+    assert d == DiagonalTensor(cs, G2_MATRIX)
     assert d.am() == 43
     u = unit_solve(cs)
     assert u == (0, 0, 0, 0, 0, 0, 1)
@@ -280,10 +268,10 @@ def test_seven_element_golden():
 
 
 def test_collapse_recovers_skeleton_diagonal():
-    skel_entries = diagonal_recursive(make_six()).entries
+    skel_d = diagonal_recursive(make_six())
     for n in range(2, 5):
         d = diagonal_solve(make_g(n))
-        assert collapse(d).entries == skel_entries
+        assert collapse(d) == skel_d
 
 
 def test_collapse_rejects_plain_semilattices():
@@ -344,7 +332,7 @@ def test_seeded_instances_verify_and_dominate_skeleton():
         ok, witness = verify_diagonal(d, unit_solve(cs))
         assert ok, witness
         skel_d = diagonal_recursive(skel)
-        assert collapse(d).entries == skel_d.entries
+        assert collapse(d) == skel_d
         assert d.am() >= skel_d.am()
 
 

@@ -36,7 +36,7 @@ from semiam.moebius import diagonal_via_mobius
 from semiam.semilattice import Semilattice, chain, flat, flat_with_top
 
 from test_cli import D_SIX_ROWS, G2_JSON
-from test_clifford import G2_MATRIX, frozen
+from test_clifford import G2_MATRIX
 
 
 def build_instance(inst) -> CliffordSemigroup:
@@ -73,7 +73,7 @@ def per_cell_table(g: CliffordSemigroup) -> tuple:
 
 def assert_engines_agree(g: CliffordSemigroup):
     d = diagonal_closed_form(g)
-    assert d.entries == diagonal_solve(g).entries
+    assert d == diagonal_solve(g)
     assert clifford_unit_from_skeleton(g) == unit_solve(g)
     ok, witness = verify_diagonal(d, unit_solve(g))
     assert ok, witness
@@ -144,12 +144,13 @@ def test_trivial_blocks_give_the_moebius_diagonal():
     for size in range(1, 6):
         for s in enumerate_semilattices(size):
             g = build_clifford(s, [FiniteAbelianGroup([1])] * s.n, {})
-            assert diagonal_closed_form(g).entries == diagonal_via_mobius(s).entries
+            assert diagonal_closed_form(g) == diagonal_via_mobius(s)
 
 
 def test_seven_element_golden():
-    u, d = unit_and_diagonal(make_g(2))
-    assert d.entries == frozen(G2_MATRIX)
+    g = make_g(2)
+    u, d = unit_and_diagonal(g)
+    assert d == DiagonalTensor(g, G2_MATRIX)
     assert u == (0, 0, 0, 0, 0, 0, 1)
     assert d.am() == 43
 
@@ -164,9 +165,10 @@ def _first_failing_equation(d: DiagonalTensor, u: tuple):
     names them."""
     base = d.base
     n = base.n
+    entries = [[Fraction(v, d.den) for v in row] for row in d.rows]
     moment = [Fraction(0)] * n
     for g in range(n):
-        row = d.entries[g]
+        row = entries[g]
         for h in range(n):
             moment[base.table[g][h]] += row[h]
     for r in range(n):
@@ -185,8 +187,8 @@ def _first_failing_equation(d: DiagonalTensor, u: tuple):
         pq = pre[q]
         for g in range(n):
             for h in range(n):
-                lhs = sum((d.entries[x][h] for x in pq[g]), Fraction(0))
-                rhs = sum((d.entries[g][x] for x in pq[h]), Fraction(0))
+                lhs = sum((entries[x][h] for x in pq[g]), Fraction(0))
+                rhs = sum((entries[g][x] for x in pq[h]), Fraction(0))
                 if lhs != rhs:
                     return False, {
                         "kind": "centrality",
@@ -199,7 +201,7 @@ def _first_failing_equation(d: DiagonalTensor, u: tuple):
 
 
 def _perturbed(d: DiagonalTensor, changes) -> DiagonalTensor:
-    rows = [list(row) for row in d.entries]
+    rows = [[Fraction(v, d.den) for v in row] for row in d.rows]
     for (a, b), delta in changes.items():
         rows[a][b] += delta
     return DiagonalTensor(d.base, rows)
@@ -278,9 +280,9 @@ def test_am_sums_over_the_common_denominator():
     g = make_g(6)
     d = diagonal_closed_form(g)
     assert d.den == 6
-    assert d.entries == diagonal_solve(g).entries
+    assert d == diagonal_solve(g)
     assert d.am() == Fraction(sum(abs(v) for row in d.rows for v in row), 6)
-    assert d.am() == sum((abs(v) for row in d.entries for v in row), Fraction(0))
+    assert d.am() == sum((abs(Fraction(v, 6)) for row in d.rows for v in row), Fraction(0))
 
 
 class CollapsedClifford:

@@ -28,15 +28,10 @@ D_SIX = (
 )
 
 
-def frozen(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
 def test_tensor_is_stored_in_lowest_terms():
     d = DiagonalTensor(chain(0), [[Fraction(2, 4)]])
     assert d.den == 2
     assert d.rows == ((1,),)
-    assert d.entries == ((Fraction(1, 2),),)
 
 
 def test_tensor_from_ints_over_a_denominator_equals_the_fractions():
@@ -45,7 +40,7 @@ def test_tensor_from_ints_over_a_denominator_equals_the_fractions():
     fractions = [[Fraction(v, 6) for v in row] for row in ints]
     assert over_six == DiagonalTensor(flat(2), fractions)
     assert over_six.den == 6
-    assert over_six.entries == tuple(map(tuple, fractions))
+    assert over_six.rows == tuple(map(tuple, ints))
     doubled = [[2 * v for v in row] for row in ints]
     assert DiagonalTensor(flat(2), doubled, den=12) == over_six
 
@@ -96,12 +91,10 @@ def test_first_unit_failure_names_the_first_failing_element():
 
 
 def test_diagonal_golden_matrices():
-    assert diagonal_recursive(chain(0)).entries == frozen(((1,),))
-    assert diagonal_recursive(chain(1)).entries == frozen(D_L1)
-    assert diagonal_recursive(chain(2)).entries == frozen(D_L2)
-    assert diagonal_recursive(flat(2)).entries == frozen(D_F2)
-    assert diagonal_recursive(flat_with_top(2)).entries == frozen(D_F2_TOP)
-    assert diagonal_recursive(make_six()).entries == frozen(D_SIX)
+    for s, matrix in [(chain(0), ((1,),)), (chain(1), D_L1), (chain(2), D_L2),
+                      (flat(2), D_F2), (flat_with_top(2), D_F2_TOP),
+                      (make_six(), D_SIX)]:
+        assert diagonal_recursive(s) == DiagonalTensor(s, matrix)
 
 
 def test_am_constants_small():
@@ -125,7 +118,8 @@ def test_diagonal_transports_under_relabeling():
         d2 = diagonal_recursive(other)
         for a in range(6):
             for b in range(6):
-                assert d2.entries[perm[a]][perm[b]] == d.entries[a][b]
+                assert d2.rows[perm[a]][perm[b]] == d.rows[a][b]
+        assert d2.den == d.den
 
 
 def test_diagonal_shape_facts():
@@ -174,7 +168,7 @@ def test_tensor_diagonal_with_point_factor():
     d = diagonal_recursive(s)
     d0 = diagonal_recursive(chain(0))
     t = tensor_diagonal(d0, d)
-    assert t.entries == d.entries
+    assert t == d
     assert t.base.n == s.n
 
 
@@ -182,7 +176,7 @@ def test_tensor_diagonal_matches_recursive_on_product():
     a, b = chain(1), chain(2)
     t = tensor_diagonal(diagonal_recursive(a), diagonal_recursive(b))
     direct = diagonal_recursive(product(a, b))
-    assert t.entries == direct.entries
+    assert t == direct
     assert t.am() == 5 * 9
     ok, witness = verify_diagonal(t, unit(product(a, b)))
     assert ok, witness

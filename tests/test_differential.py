@@ -47,6 +47,21 @@ def test_engines_agree_on_random_families_up_to_128():
             assert collapse(diagonal_solve(trivial)) == d
 
 
+def test_solver_oracle_reads_a_semilattice_directly():
+    rng = random.Random(53)
+    classes = [s for size in range(1, 7) for s in enumerate_semilattices(size)]
+    drawn = [validate(random_family_table(rng, n)) for n in range(7, 13) for _ in range(2)]
+    assert len(classes) == 77
+    for s in classes + drawn:
+        assert isinstance(s, Semilattice)
+        assert unit_solve(s) == unit(s)
+        d = diagonal_solve(s)
+        assert d == diagonal_recursive(s)
+        # the reference: the same solve over trivial blocks, summed back
+        trivial = build_clifford(s, [FiniteAbelianGroup([1])] * s.n, {})
+        assert d == collapse(diagonal_solve(trivial))
+
+
 def test_zeta_identity_rejects_any_changed_entry():
     for s in (make_six(), power_set(2), flat(3)):
         d = diagonal_via_mobius(s)

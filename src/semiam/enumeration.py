@@ -15,8 +15,8 @@ from itertools import permutations, product as iproduct
 
 from .clifford import (
     CliffordSemigroup,
+    ConnectingHom,
     FiniteAbelianGroup,
-    build_clifford,
     hom_systems,
     unit_and_diagonal,
 )
@@ -295,16 +295,29 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
 
     The point: no commutative Clifford semigroup algebra in this family has
     an amenability constant strictly between 5 and 9.  Each instance is
-    built and validated in full, and each diagonal comes from the closed
-    form and is verified before its constant is counted.
+    built without the checks of build_clifford, since hom_systems lists
+    only valid transitive systems, and each diagonal comes from the closed
+    form and is verified, with the unit, before its constant is counted.
     """
     instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
     counts: dict = {}
     violations = []
+    # one ConnectingHom per distinct map of the current groups tuple: the
+    # instances over one tuple are consecutive and share its maps, and
+    # dropping them with the tuple keeps a search over many large groups,
+    # whose maps seldom repeat, from holding every image tuple it built
+    groups = maps = None
     for inst in instances:
-        built = build_clifford(inst.skeleton, inst.groups, inst.homs)
-        if not isinstance(built, CliffordSemigroup):
-            raise RuntimeError(f"search instance failed validation: {built}")
+        if inst.groups is not groups:
+            groups, maps = inst.groups, {}
+        homs = {}
+        for (s, t), gen_images in inst.homs.items():
+            key = (inst.groups[s], inst.groups[t], gen_images)
+            hom = maps.get(key)
+            if hom is None:
+                hom = maps[key] = ConnectingHom(*key)
+            homs[(s, t)] = hom
+        built = CliffordSemigroup(inst.skeleton, inst.groups, homs)
         am = unit_and_diagonal(built)[1].am()
         inst.am = am
         counts[am] = counts.get(am, 0) + 1

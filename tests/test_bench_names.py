@@ -52,7 +52,7 @@ def test_cli_import_loads_every_traced_module_and_no_dataclasses():
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-c", code],
+        [sys.executable, "-I", "-B", "-c", code],
         capture_output=True, text=True, timeout=60, check=True,
     )
     loaded = set(json.loads(result.stdout))

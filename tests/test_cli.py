@@ -555,6 +555,31 @@ def test_integer_past_the_digit_limit_exits_2(capsys):
     assert err == ""
 
 
+def refuse_constant(name):
+    raise AssertionError(f"{name} in the output is not JSON")
+
+
+@pytest.mark.parametrize("command, doc, axiom", [
+    ("verify", '{"base": {"table": [[0]]}, "diagonal": [[1e400]]}', "json"),
+    ("verify", '{"base": {"table": [[0]]}, "diagonal": [[-1E+400]]}', "json"),
+    ("verify", '{"base": {"table": [[0]]}, "diagonal": [[NaN]]}', "json"),
+    ("validate", '{"table": [[0]], "n": NaN}', "json"),
+    ("validate", '{"table": [[0]], "n": Infinity}', "json"),
+    ("validate", '{"table": [[-Infinity]]}', "json"),
+    ("clifford", '{"skeleton": {"table": [[0]]}, "groups": [[1e999]]}', "json"),
+    # finite floats keep the violations they had
+    ("verify", '{"base": {"table": [[0]]}, "diagonal": [[1e300]]}', "float_entry"),
+    ("validate", '{"table": [[0]], "n": 1.5}', "shape"),
+    ("validate", '{"table": [[1e-400]]}', "range"),
+])
+def test_non_finite_numbers_exit_2_with_json_output(capsys, command, doc, axiom):
+    code, out, err = run(capsys, command, doc)
+    assert code == 2
+    assert err == ""
+    payload = json.loads(out, parse_constant=refuse_constant)
+    assert payload["violations"][0]["axiom"] == axiom
+
+
 def test_nesting_too_deep_to_decode_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"table": ' + "[" * 200000 + "}")

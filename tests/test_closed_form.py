@@ -5,14 +5,17 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import make_g, make_six
 from semiam import cli
 from semiam import diagonal as diagonal_mod
+from semiam import clifford
 from semiam.clifford import (
     CliffordSemigroup,
+    ConnectingHom,
     DiagonalSolveError,
     FiniteAbelianGroup,
     NotUnitalError,
@@ -43,6 +46,14 @@ def build_instance(inst) -> CliffordSemigroup:
     g = build_clifford(inst.skeleton, inst.groups, inst.homs)
     assert isinstance(g, CliffordSemigroup)
     return g
+
+
+def trusted_build(skeleton, groups, homs) -> CliffordSemigroup:
+    """The build gap_search runs: one ConnectingHom per pair, straight
+    from hom_systems' images, with none of build_clifford's checks."""
+    return CliffordSemigroup(skeleton, groups, {
+        (s, t): ConnectingHom(groups[s], groups[t], images)
+        for (s, t), images in homs.items()})
 
 
 def per_cell_table(g: CliffordSemigroup) -> tuple:
@@ -471,3 +482,62 @@ def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
         assert shared.table == fresh.table
         assert shared.generating_set() == fresh.generating_set()
         assert unit_and_diagonal(shared) == unit_and_diagonal(fresh)
+
+
+def test_the_trusted_build_matches_the_checked_one():
+    # gap_search skips build_clifford's checks because hom_systems lists
+    # only valid transitive systems: both builds must give one table
+    instances = gap_instances()
+    assert len(instances) == 332
+    larger = gap_instances(4, 4)
+    assert len(larger) == 5524
+    for inst in instances + random.Random(9).sample(larger, 500):
+        trusted = trusted_build(inst.skeleton, inst.groups, inst.homs)
+        assert build_instance(inst).table == trusted.table
+
+
+@pytest.mark.parametrize("call", [0, 165, 331])
+def test_gap_search_verifies_every_trusted_diagonal(monkeypatch, call):
+    # one wrong entry in the closed form of any one instance must stop the
+    # search: the trusted build leaves verify_diagonal as the check
+    real = clifford.diagonal_closed_form
+    calls = Counter()
+
+    def perturbed(g):
+        d = real(g)
+        if calls["closed_form"] == call:
+            rows = [list(row) for row in d.rows]
+            rows[-1][-1] += 1
+            d = DiagonalTensor(g, rows, d.den)
+        calls["closed_form"] += 1
+        return d
+
+    monkeypatch.setattr(clifford, "diagonal_closed_form", perturbed)
+    with pytest.raises(DiagonalSolveError):
+        gap_search()
+    assert calls["closed_form"] == call + 1
+
+
+# Z1, Z2, Z3, Z4, Z6, Z8, Z12, Z2xZ2, Z2xZ4, Z3xZ3 and Z2xZ6
+TWO_BLOCK_GROUPS = [[1], [2], [3], [4], [6], [8], [12], [2, 2], [2, 4], [3, 3], [2, 6]]
+
+
+def test_a_two_element_skeleton_gives_am_5_for_every_group_pair_and_hom():
+    # |Y| = 2: the closed form gives absolute block sums 1 on G1 x G1,
+    # G1 x G0 and G0 x G1 and 2 on G0 x G0, whatever the groups and the hom
+    skeleton = chain(1)
+    systems = 0
+    for bottom, top in product(TWO_BLOCK_GROUPS, repeat=2):
+        groups = (FiniteAbelianGroup(bottom), FiniteAbelianGroup(top))
+        for homs in hom_systems(skeleton, groups):
+            g = trusted_build(skeleton, groups, homs)
+            d = unit_and_diagonal(g)[1]
+            assert d.am() == 5
+            sums = Counter()
+            for x, row in enumerate(d.rows):
+                for y, v in enumerate(row):
+                    sums[g.block_of[x], g.block_of[y]] += abs(v)
+            assert {blocks: Fraction(v, d.den) for blocks, v in sums.items()} == {
+                (1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 2}
+            systems += 1
+    assert systems == 675

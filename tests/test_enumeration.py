@@ -1,13 +1,16 @@
+import functools
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oracles import are_isomorphic, enumerate_brute, enumerate_by_families, relabel
-from semiam import clifford
+from semiam import clifford, enumeration
 from semiam.clifford import FiniteAbelianGroup, hom_systems
 from semiam.enumeration import (
     InstanceLimitError,
@@ -193,6 +196,80 @@ def test_gap_search_derives_shared_data_once(monkeypatch):
     monkeypatch.setattr(clifford._Layout, "__init__", layout)
     assert gap_search().instance_count == 332
     assert 0 < counts["layouts"] <= 148
+
+
+def test_gap_search_builds_each_map_once_per_groups_tuple(monkeypatch):
+    # the instances over one groups tuple share its maps: one ConnectingHom
+    # per distinct (source, target, gen_images) of that tuple, each image
+    # tuple computed at most once
+    made, computed = Counter(), Counter()
+    real_images = clifford.ConnectingHom.images.func
+
+    def images(self):
+        computed["images"] += 1
+        return real_images(self)
+
+    counted = functools.cached_property(images)
+    counted.__set_name__(clifford.ConnectingHom, "images")
+    monkeypatch.setattr(clifford.ConnectingHom, "images", counted)
+
+    def make(*key):
+        made["homs"] += 1
+        return clifford.ConnectingHom(*key)
+
+    monkeypatch.setattr(enumeration, "ConnectingHom", make)
+    maps = {(id(inst.groups), inst.groups[s], inst.groups[t], gen_images)
+            for inst in gap_instances()
+            for (s, t), gen_images in inst.homs.items()}
+    computed.clear()
+    assert gap_search().instance_count == 332
+    assert made["homs"] == len(maps) < 880
+    # the listing computes 96 image tuples for its transitivity checks
+    assert computed["images"] <= 96 + len(maps)
+
+
+def test_gap_search_keeps_only_the_maps_of_the_groups_it_solves(monkeypatch):
+    # over a two-element chain each groups tuple (Z_a, Z_b) has its own
+    # gcd(a, b) maps, used by one instance each: a search that kept every
+    # hom it built would end up holding all of them
+    live = weakref.WeakSet()
+    real_init = clifford.ConnectingHom.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        live.add(self)
+
+    real_solve = enumeration.unit_and_diagonal
+    held, groups_seen = [], []
+
+    def solve(g):
+        # the first instance of each groups tuple: the last tuple's maps
+        # must be gone by now
+        if not groups_seen or g.groups is not groups_seen[-1]:
+            gc.collect()
+            pairs = {(a, b) for a in g.groups for b in g.groups}
+            assert {(hom.source, hom.target) for hom in live} <= pairs
+            held.append(len(live))
+            groups_seen.append(g.groups)
+        return real_solve(g)
+
+    monkeypatch.setattr(clifford.ConnectingHom, "__init__", init)
+    monkeypatch.setattr(enumeration, "unit_and_diagonal", solve)
+    gap_search(2, 8)
+    assert len(held) == 8 + 8 * 8  # the order tuples of sizes 1 and 2
+    assert max(held) <= 8
+    # nor do the groups the instances share keep map data of their own
+    assert {frozenset(vars(g)) for groups in groups_seen for g in groups} == {
+        frozenset({"cyclic_orders", "order", "_generators"})}
+
+
+def test_gap_search_am_counts_on_the_four_element_family():
+    report = gap_search(4, 4)
+    assert report.instance_count == 5524
+    assert report.am_counts == [
+        (Fraction(1), 4), (Fraction(5), 24), (Fraction(9), 304),
+        (Fraction(13), 3960), (Fraction(25), 1232)]
+    assert report.ok
 
 
 def test_groups_shared_by_a_search_keep_no_map_data():

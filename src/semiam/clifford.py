@@ -29,10 +29,12 @@ from .semilattice import (
 
 
 # The most elements, sum |G_e|, that from_json_dict accepts.  Table,
-# diagonal and verifier work grow as n^2 to n^3; at 512 the slowest shape
-# found, a chain of trivial blocks given as a table, runs `semiam clifford`
-# in about 16 s on a shared 2-CPU 2.1 GHz Xeon under Python 3.11, most of
-# it in the skeleton's cover scan (Semilattice._derive) and MoebiusTable.
+# diagonal and certificate work grow as n^2 to n^3; at 512 the slowest
+# shape found, a chain of trivial blocks given as a table, runs `semiam
+# clifford` in about 14 s on a shared 2-CPU 2.1 GHz Xeon under Python 3.11,
+# most of it in the skeleton's cover scan (Semilattice._derive) and
+# MoebiusTable.  flat_with_top(510) takes about 4.5 s, most of it in Light's
+# test (3.5 of 6.8 profiled seconds) and in rendering (1.7 s).
 MAX_ELEMENTS = 512
 
 
@@ -187,10 +189,11 @@ def _composite_indices(first: ConnectingHom, second: ConnectingHom) -> tuple:
 
 class _Layout:
     """What every Clifford semigroup over one skeleton and one tuple of
-    groups derives without reading its homs: the block offsets, block_of
-    and member_of, the generating set, the block addition tables with the
-    offsets folded in, the block identities, and, when a diagonal is asked
-    for, the inverses and the offset Moebius supports of the blocks."""
+    groups derives without reading its homs: the block offsets, the block
+    identities, and, when they are asked for, block_of and member_of, the
+    generating set, the block addition tables with the offsets folded in,
+    the inverses, the offset Moebius supports, the lifted unit and the
+    transform targets."""
 
     def __init__(self, skeleton: Semilattice, groups: tuple):
         self.skeleton = skeleton
@@ -204,20 +207,38 @@ class _Layout:
         self.n = n
         self.canonical_perm = tuple(range(n))
         self.offset = tuple(offset)
-        self.block_of = tuple(s for s in blocks for _ in range(groups[s].order))
-        self.member_of = tuple(i for s in blocks for i in range(groups[s].order))
         self.idempotents = tuple(sorted(offset))
-        # sums[r][a][b] = id of a + b in block r
-        self.sums = tuple(g.sum_table(offset[r]) for r, g in enumerate(groups))
-        # see CliffordSemigroup.generating_set
-        irreducible = set(skeleton.generating_set())
+        self._targets = {}
+
+    @cached_property
+    def block_of(self) -> tuple:
+        """block_of[x] is the skeleton element whose block holds x."""
+        return tuple(s for s in self.skeleton.canonical_perm
+                     for _ in range(self.groups[s].order))
+
+    @cached_property
+    def member_of(self) -> tuple:
+        """member_of[x] is the index of x in its block's group."""
+        return tuple(i for s in self.skeleton.canonical_perm
+                     for i in range(self.groups[s].order))
+
+    @cached_property
+    def generating_set(self) -> tuple:
+        """See CliffordSemigroup.generating_set."""
+        irreducible = set(self.skeleton.generating_set())
         gens = []
-        for s in blocks:
-            if groups[s].order > 1:
-                gens += [offset[s] + g for g in groups[s].generators()]
+        for s in self.skeleton.canonical_perm:
+            group, start = self.groups[s], self.offset[s]
+            if group.order > 1:
+                gens += [start + g for g in group.generators()]
             elif s in irreducible:
-                gens.append(offset[s])
-        self.generating_set = tuple(gens)
+                gens.append(start)
+        return tuple(gens)
+
+    @cached_property
+    def sums(self) -> tuple:
+        """sums[r][a][b] is the id of a + b in block r."""
+        return tuple(g.sum_table(self.offset[r]) for r, g in enumerate(self.groups))
 
     @cached_property
     def inverses(self) -> tuple:
@@ -231,6 +252,44 @@ class _Layout:
         columns = mobius_table(self.skeleton).columns
         return tuple(tuple((f, self.offset[f], m) for f, m in column.items() if m)
                      for column in columns)
+
+    @cached_property
+    def unit(self):
+        """The skeleton's unit on the block identities, by element id, when
+        the transform Phi takes it to the sum of the block identities, as
+        the unit's image must be; else None.
+
+        Phi(delta of the identity of block e) is the sum of the identities
+        of the blocks f <= e, so Phi(u) is that sum exactly when the unit
+        mass on the s >= f adds up to 1 for every skeleton element f.
+        """
+        u = unit(self.skeleton)
+        above = self.skeleton.strictly_above
+        if any(u[f] + sum(u[s] for s in above[f]) != 1 for f in range(self.skeleton.n)):
+            return None
+        coeffs = [0] * self.n
+        for s, c in enumerate(u):
+            coeffs[self.offset[s]] = c
+        return tuple(coeffs)
+
+    def target(self, den: int):
+        """den * T as int rows by element id, with T = sum over blocks f of
+        |G_f|^-1 sum over x in G_f of delta_x (x) delta_-x, the diagonal of
+        the direct sum of the block group algebras; None when some |G_f|
+        does not divide den.  Kept per den."""
+        if den not in self._targets:
+            rows = None
+            if all(den % group.order == 0 for group in self.groups):
+                rows = []
+                zero = [0] * self.n
+                for f in self.skeleton.canonical_perm:
+                    weight, start = den // self.groups[f].order, self.offset[f]
+                    for y in self.inverses[f]:
+                        row = zero.copy()
+                        row[start + y] = weight
+                        rows.append(tuple(row))
+            self._targets[den] = rows
+        return self._targets[den]
 
 
 def _layout(skeleton: Semilattice, groups: tuple) -> _Layout:
@@ -260,14 +319,20 @@ class CliffordSemigroup:
         self.layout = layout = _layout(skeleton, self.groups)
         self.n = layout.n
         self.offset = layout.offset
-        self.block_of = layout.block_of
-        self.member_of = layout.member_of
         self.canonical_perm = layout.canonical_perm
         # _images[(s, r)][x] = phi_{s,r}(x), the identity map for s = r
         self._images = {pair: hom.images for pair, hom in self.homs.items()}
         self._images.update(((s, s), range(g.order)) for s, g in enumerate(self.groups))
+
+    @cached_property
+    def table(self) -> tuple:
+        """The multiplication table by element id, built on first use:
+        build_clifford's checks, the solver oracle, cmd_verify and the
+        reject path of unit_and_diagonal read it, the transform does
+        not."""
+        skeleton = self.skeleton
+        sums = self.layout.sums
         blocks = skeleton.canonical_perm
-        sums = layout.sums
         table = []
         for sx in blocks:
             meets = skeleton.table[sx]
@@ -281,7 +346,15 @@ class CliffordSemigroup:
                 for block_sums, push_x, push_y in plan:
                     row += map(block_sums[push_x[gx]].__getitem__, push_y)
                 table.append(tuple(row))
-        self.table = tuple(table)
+        return tuple(table)
+
+    @property
+    def block_of(self) -> tuple:
+        return self.layout.block_of
+
+    @property
+    def member_of(self) -> tuple:
+        return self.layout.member_of
 
     @cached_property
     def labels(self) -> tuple:
@@ -524,16 +597,71 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
     return DiagonalTensor(g, outer_product_sum(g.n, terms), den)
 
 
+def _preimages(g: CliffordSemigroup) -> list:
+    """preimages[a] lists the x with a in pushes(x): for x in block e,
+    pushes(x) holds phi_{e,f}(x) in every block f <= e, phi_{e,e} the
+    identity, so Phi(delta_x) is the sum of delta_a over a in pushes(x)."""
+    preimages = [[] for _ in range(g.n)]
+    offset = g.offset
+    for (e, f), images in g._images.items():
+        source, target = offset[e], offset[f]
+        for x, y in enumerate(images):
+            preimages[target + y].append(source + x)
+    return preimages
+
+
+def _lift(vectors, preimages) -> list:
+    """Entry a is the sum of vectors[x] over x in preimages[a]: the rows
+    of Z^T V for V with these rows, Z[x][a] = [a in pushes(x)]."""
+    return [vectors[xs[0]] if len(xs) == 1
+            else tuple(map(sum, zip(*map(vectors.__getitem__, xs))))
+            for xs in preimages]
+
+
+def _transform_accepts(g: CliffordSemigroup, d: DiagonalTensor) -> bool:
+    """Whether (Phi (x) Phi)(D) = T, checked as Z^T (den D) Z = den T in
+    ints: the rows of den*D are lifted, then the columns of the result.
+
+    Phi, the Hewitt-Zuckerman map of l1(S) onto the direct sum of the
+    block group algebras, is an algebra isomorphism, and T is the diagonal
+    of that sum (see _Layout.target).  So this holds for the diagonal of
+    l1(S) and for no other tensor, and it reads no table and no Moebius
+    value.
+    """
+    target = g.layout.target(d.den)
+    if target is None:  # den * T is not integral, den * (Phi (x) Phi)(D) is
+        return False
+    preimages = _preimages(g)
+    rows = _lift(d.rows, preimages)
+    # the lifted columns are the rows of the transpose of Z^T (den D) Z,
+    # and den * T is symmetric
+    return _lift(tuple(zip(*rows)), preimages) == target
+
+
 def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
-    """The unit and the closed-form diagonal, once verify_diagonal accepts
-    them: the production path, with unit_solve and diagonal_solve kept as
-    the independent linear-algebra oracle."""
-    u = clifford_unit_from_skeleton(g)
+    """The unit and the closed-form diagonal, once certified: the
+    production path, with unit_solve and diagonal_solve kept as the
+    independent linear-algebra oracle.
+
+    Phi certifies both, and no table is built: Phi(u) must be the sum of
+    the block identities, and (Phi (x) Phi)(D) must be T.  Phi is an
+    isomorphism, so D is then the diagonal, and its moment Phi^-1(1) is
+    the unit u; these are the conditions verify_diagonal checks.  When the
+    transform rejects, clifford_unit_from_skeleton and verify_diagonal run
+    on the table, and their error names the witness.
+    """
+    lifted_unit = g.layout.unit
     d = diagonal_closed_form(g)
+    if lifted_unit is not None and _transform_accepts(g, d):
+        return lifted_unit, d
+    u = clifford_unit_from_skeleton(g)
     ok, witness = verify_diagonal(d, u)
     if not ok:
         raise DiagonalSolveError(f"closed-form tensor fails verification: {witness}")
-    return u, d
+    # the two certificates disagree: never count such an AM
+    if lifted_unit is None:
+        raise NotUnitalError("the unit fails the Hewitt-Zuckerman transform")
+    raise DiagonalSolveError("closed-form tensor fails the Hewitt-Zuckerman transform")
 
 
 def diagonal_solve(base) -> DiagonalTensor:

@@ -1,6 +1,7 @@
 """The closed-form Clifford diagonal and the integer verifier, checked
 against the linear solver and the full equation walk."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -36,7 +37,7 @@ from semiam.diagonal import (
 )
 from semiam.enumeration import enumerate_semilattices, gap_instances, gap_search
 from semiam.moebius import diagonal_via_mobius
-from semiam.semilattice import Semilattice, chain, flat, flat_with_top
+from semiam.semilattice import Semilattice, chain, flat, flat_with_top, power_set
 
 from test_cli import D_SIX_ROWS, G2_JSON
 from test_clifford import G2_MATRIX
@@ -541,3 +542,100 @@ def test_a_two_element_skeleton_gives_am_5_for_every_group_pair_and_hom():
                 (1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 2}
             systems += 1
     assert systems == 675
+
+
+def _certificate_cases(d: DiagonalTensor, rng: random.Random):
+    """d itself, the zero tensor, and seeded single-entry, symmetric-pair
+    and moment-keeping perturbations of d, the last keeping it symmetric
+    too when the two cells allow it."""
+    yield d
+    yield DiagonalTensor(d.base, [[0] * d.n for _ in range(d.n)])
+    cells = [(a, b) for a in range(d.n) for b in range(d.n)]
+    for _ in range(2):
+        delta = Fraction(1, rng.choice([1, 2, 3]))
+        a, b = rng.choice(cells)
+        yield _perturbed(d, {(a, b): delta})
+        if a != b:
+            yield _perturbed(d, {(a, b): delta, (b, a): delta})
+    pairs = list(_moment_keeping_pairs(d.base))
+    for (a, b), (c, e) in rng.sample(pairs, min(2, len(pairs))):
+        third = Fraction(1, 3)
+        changes = {}
+        for cell, delta in (((a, b), third), ((b, a), third),
+                            ((c, e), -third), ((e, c), -third)):
+            changes[cell] = changes.get(cell, 0) + delta
+        if any(changes.values()):
+            yield _perturbed(d, changes)
+        yield _perturbed(d, {(a, b): third, (c, e): -third})
+
+
+def test_the_transform_accepts_exactly_what_verify_diagonal_accepts():
+    # Phi is an isomorphism, so (Phi (x) Phi)(D) = T certifies the diagonal
+    # on its own; a perturbed tensor must fall on the same side of both
+    rng = random.Random(19)
+    instances = gap_instances() + random.Random(9).sample(gap_instances(4, 4), 500)
+    seen = Counter()
+    for inst in instances:
+        g = trusted_build(inst.skeleton, inst.groups, inst.homs)
+        u = clifford_unit_from_skeleton(g)
+        assert g.layout.unit == u
+        for d in _certificate_cases(diagonal_closed_form(g), rng):
+            accepted = clifford._transform_accepts(g, d)
+            assert accepted == verify_diagonal(d, u)[0]
+            seen[accepted] += 1
+    assert seen[True] == len(instances)
+    assert seen[False] > 8 * len(instances)
+
+
+def test_a_corrupted_unit_is_caught_on_the_transform_path(monkeypatch):
+    real = clifford.unit
+
+    def corrupted(s):
+        u = list(real(s))
+        u[s.minimum] += 1
+        return tuple(u)
+
+    monkeypatch.setattr(clifford, "unit", corrupted)
+    inst = gap_instances()[-1]
+    skeleton = Semilattice(inst.skeleton.table)  # no layout kept from before
+    g = trusted_build(skeleton, inst.groups, inst.homs)
+    assert g.layout.unit is None
+    with pytest.raises(NotUnitalError):
+        unit_and_diagonal(g)
+
+
+def test_a_transform_reject_is_never_accepted_silently(monkeypatch):
+    # should the transform ever reject what the table checks accept, the
+    # two certificates disagree, and no AM is counted
+    g = make_g(3)
+    monkeypatch.setattr(clifford, "_transform_accepts", lambda g, d: False)
+    with pytest.raises(DiagonalSolveError):
+        unit_and_diagonal(g)
+
+
+def test_the_gap_path_builds_no_table(monkeypatch):
+    def refuse(self, offset):
+        raise AssertionError("a block addition table was built")
+
+    monkeypatch.setattr(FiniteAbelianGroup, "sum_table", refuse)
+    report = gap_search()
+    assert report.ok and report.instance_count == 332
+    # user input still builds and checks the table
+    inst = gap_instances()[-1]
+    with pytest.raises(AssertionError, match="addition table"):
+        build_clifford(inst.skeleton, inst.groups, inst.homs)
+
+
+# the digests of what the generating-set pass on the table certified
+@pytest.mark.parametrize("skeleton, order, digest", [
+    (flat_with_top(30), 2,
+     "5deab02083cf2e523d008308727ec00d4267868193d05c9e62e66855284e218e"),
+    (power_set(4), 1,
+     "acb4f42f7f15316447b97a513f7c5efc3b1c51fe1962eeae7c7dcae8d6776620"),
+], ids=["flat_with_top(30) Z2", "power_set(4) trivial"])
+def test_clifford_output_is_pinned(capsys, skeleton, order, digest):
+    doc = {"skeleton": {"table": [list(r) for r in skeleton.table]},
+           "groups": [[order]] * skeleton.n}
+    assert cli.main(["clifford", json.dumps(doc)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -314,7 +314,7 @@ def cmd_verify(args) -> tuple:
     base_obj = obj["base"]
     if isinstance(base_obj, dict) and "skeleton" in base_obj:
         base = _clifford(base_obj)
-        u = clifford_mod.clifford_unit_from_skeleton(base)
+        u = base.layout.unit
     else:
         base = _semilattice(base_obj)
         u = unit(base)

@@ -14,27 +14,20 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import itemgetter
 
 from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
 from .moebius import mobius_table, outer_product_sum
-from .semilattice import (
-    Semilattice,
-    ValidationReport,
-    Violation,
-    _first_nonassociative,
-    _is_int,
-)
+from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 
-# The most elements, sum |G_e|, that from_json_dict accepts.  Table,
-# diagonal and certificate work grow as n^2 to n^3; at 512 the slowest
-# shape found, a chain of trivial blocks given as a table, runs `semiam
-# clifford` in about 14 s on a shared 2-CPU 2.1 GHz Xeon under Python 3.11,
-# most of it in the skeleton's cover scan (Semilattice._derive) and
-# MoebiusTable.  flat_with_top(510) takes about 4.5 s, most of it in Light's
-# test (3.5 of 6.8 profiled seconds) and in rendering (1.7 s).
+# The most elements, sum |G_e|, that from_json_dict accepts.  Diagonal
+# and certificate work grow as n^2 to n^3; at 512 the slowest shape found,
+# a chain of trivial blocks given as a table, runs `semiam clifford` in
+# about 11 s on a shared 2-CPU 2.0 GHz Xeon under Python 3.11, most of it
+# in the skeleton's cover scan (Semilattice._derive) and MoebiusTable.
+# flat_with_top(510) takes 1.0-1.5 s, most of it in rendering the diagonal
+# (1.9 of 3.3 profiled seconds) and in check_table.
 MAX_ELEMENTS = 512
 
 
@@ -189,11 +182,11 @@ def _composite_indices(first: ConnectingHom, second: ConnectingHom) -> tuple:
 
 class _Layout:
     """What every Clifford semigroup over one skeleton and one tuple of
-    groups derives without reading its homs: the block offsets, the block
-    identities, and, when they are asked for, block_of and member_of, the
-    generating set, the block addition tables with the offsets folded in,
-    the inverses, the offset Moebius supports, the lifted unit and the
-    transform targets."""
+    groups derives without reading its homs: the block offsets, which are
+    the ids of the block identities, and, when they are asked for, block_of
+    and member_of, the generating set, the block addition tables with the
+    offsets folded in, the inverses, the offset Moebius supports, the
+    lifted unit and the transform targets."""
 
     def __init__(self, skeleton: Semilattice, groups: tuple):
         self.skeleton = skeleton
@@ -207,7 +200,6 @@ class _Layout:
         self.n = n
         self.canonical_perm = tuple(range(n))
         self.offset = tuple(offset)
-        self.idempotents = tuple(sorted(offset))
         self._targets = {}
 
     @cached_property
@@ -254,19 +246,24 @@ class _Layout:
                      for column in columns)
 
     @cached_property
-    def unit(self):
-        """The skeleton's unit on the block identities, by element id, when
-        the transform Phi takes it to the sum of the block identities, as
-        the unit's image must be; else None.
+    def unit(self) -> tuple:
+        """The skeleton's unit on the block identities, as ints by element
+        id, once the transform Phi takes it to the sum of the block
+        identities, as the unit's image must be; NotUnitalError otherwise.
 
         Phi(delta of the identity of block e) is the sum of the identities
         of the blocks f <= e, so Phi(u) is that sum exactly when the unit
-        mass on the s >= f adds up to 1 for every skeleton element f.
+        mass on the s >= f adds up to 1 for every skeleton element f.  Phi
+        is an isomorphism, so this certifies u on its own.
         """
         u = unit(self.skeleton)
         above = self.skeleton.strictly_above
-        if any(u[f] + sum(u[s] for s in above[f]) != 1 for f in range(self.skeleton.n)):
-            return None
+        for f in range(self.skeleton.n):
+            mass = u[f] + sum(u[s] for s in above[f])
+            if mass != 1:
+                raise NotUnitalError(
+                    f"the unit fails the Hewitt-Zuckerman transform: its mass "
+                    f"on the skeleton elements s >= {f} sums to {mass}, not 1")
         coeffs = [0] * self.n
         for s, c in enumerate(u):
             coeffs[self.offset[s]] = c
@@ -327,9 +324,8 @@ class CliffordSemigroup:
     @cached_property
     def table(self) -> tuple:
         """The multiplication table by element id, built on first use:
-        build_clifford's checks, the solver oracle, cmd_verify and the
-        reject path of unit_and_diagonal read it, the transform does
-        not."""
+        the solver oracle, cmd_verify and the reject path of
+        unit_and_diagonal read it, the transform does not."""
         skeleton = self.skeleton
         sums = self.layout.sums
         blocks = skeleton.canonical_perm
@@ -449,32 +445,19 @@ def hom_systems(skeleton: Semilattice, groups):
             yield {pair: hom.gen_images for pair, hom in homs.items()}
 
 
-def _passes_light_test(table, generators) -> bool:
-    """Whether (xa)y = x(ay) for all x, y and every a in generators.
-
-    Light's associativity test (Clifford and Preston, The Algebraic Theory
-    of Semigroups I, 1961, section 1.2): the a that pass form a submagma,
-    since (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  A
-    CliffordSemigroup's generating set generates its table by
-    construction, whatever the homs, so passing on it is associativity.
-    Rows xa are compared with rows x read through row a, all x at once.
-    """
-    if len(table) == 1:  # itemgetter of one index would return a scalar
-        return True
-    for a in generators:
-        products = map(table.__getitem__, map(itemgetter(a), table))
-        if list(products) != list(map(itemgetter(*table[a]), table)):
-            return False
-    return True
-
-
 def build_clifford(skeleton: Semilattice, groups, homs=None):
-    """Assemble and fully validate a Clifford semigroup.
+    """Check the input of a Clifford semigroup and assemble it.
 
     groups: one FiniteAbelianGroup per skeleton element.  homs: mapping
     (s, t) -> gen_images for strict pairs t < s; omitted pairs get the
     trivial homomorphism.  Returns the semigroup or a ValidationReport
     naming the first offending axiom.
+
+    Valid homs in a transitive system over a semilattice always make a
+    commutative Clifford semigroup, a strong semilattice of groups whose
+    idempotents are the block identities (Clifford, Ann. of Math. 42,
+    1941; Howie, Fundamentals of Semigroup Theory, 1995, section 4.2).  So
+    the homs are all that is checked, and no table is built.
     """
     violations = []
     if len(groups) != skeleton.n:
@@ -503,34 +486,7 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         return ValidationReport(False, [
             Violation("hom_transitive", triple)
             for triple in _intransitive(full, _triples(skeleton, every_triple=True))])
-    semigroup = CliffordSemigroup(skeleton, groups, full)
-    n = semigroup.n
-    table = semigroup.table
-    # the first row that differs from its column differs only to the right
-    # of the diagonal: a mismatch to the left shows in an earlier row
-    if tuple(zip(*table)) != table:
-        x, column = next((x, column) for x, column in enumerate(zip(*table))
-                         if table[x] != column)
-        y = next(y for y in range(x + 1, n) if table[x][y] != column[y])
-        violations.append(Violation("commutative", (x, y)))
-    # only a table that fails Light's test walks every triple, to name the
-    # witness
-    if not violations and not _passes_light_test(table, semigroup.generating_set()):
-        violations.append(Violation("associative", _first_nonassociative(table)))
-    if not violations:
-        actual = tuple(x for x in range(n) if table[x][x] == x)
-        if actual != semigroup.layout.idempotents:
-            violations.append(Violation("idempotents", actual))
-        else:
-            offset = semigroup.offset
-            for s, meets in enumerate(skeleton.table):
-                row = table[offset[s]]
-                for t, r in enumerate(meets):
-                    if row[offset[t]] != offset[r]:
-                        violations.append(Violation("idempotent_product", (s, t)))
-    if violations:
-        return ValidationReport(False, violations)
-    return semigroup
+    return CliffordSemigroup(skeleton, groups, full)
 
 
 def unit_solve(base) -> tuple:
@@ -551,26 +507,10 @@ def unit_solve(base) -> tuple:
     sol = elim.solve()
     if sol.status != "unique":
         raise NotUnitalError(f"algebra is not unital ({sol.status})")
-    q = first_unit_failure(base, sol.vector, range(n))
+    q = first_unit_failure(base, sol.vector)
     if q is not None:
         raise NotUnitalError(f"algebra is not unital (fails at element {q})")
     return sol.vector
-
-
-def clifford_unit_from_skeleton(g: CliffordSemigroup) -> tuple:
-    """The unit lifted from the skeleton: skeleton unit mass on block
-    identities, as ints by element id.
-
-    Checked against g.generating_set(): u * delta_q = delta_q for every
-    generator q gives it for their products too.
-    """
-    coeffs = [0] * g.n
-    for s, c in enumerate(unit(g.skeleton)):
-        coeffs[g.offset[s]] = c
-    q = first_unit_failure(g, coeffs, g.generating_set())
-    if q is not None:
-        raise NotUnitalError(f"algebra is not unital (fails at element {q})")
-    return tuple(coeffs)
 
 
 def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
@@ -646,21 +586,19 @@ def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
     Phi certifies both, and no table is built: Phi(u) must be the sum of
     the block identities, and (Phi (x) Phi)(D) must be T.  Phi is an
     isomorphism, so D is then the diagonal, and its moment Phi^-1(1) is
-    the unit u; these are the conditions verify_diagonal checks.  When the
-    transform rejects, clifford_unit_from_skeleton and verify_diagonal run
-    on the table, and their error names the witness.
+    the unit u; these are the conditions verify_diagonal checks.  A unit
+    that fails raises NotUnitalError from the layout.  When the transform
+    rejects the tensor, verify_diagonal runs on the table, and its error
+    names the witness.
     """
-    lifted_unit = g.layout.unit
+    u = g.layout.unit
     d = diagonal_closed_form(g)
-    if lifted_unit is not None and _transform_accepts(g, d):
-        return lifted_unit, d
-    u = clifford_unit_from_skeleton(g)
+    if _transform_accepts(g, d):
+        return u, d
     ok, witness = verify_diagonal(d, u)
     if not ok:
         raise DiagonalSolveError(f"closed-form tensor fails verification: {witness}")
     # the two certificates disagree: never count such an AM
-    if lifted_unit is None:
-        raise NotUnitalError("the unit fails the Hewitt-Zuckerman transform")
     raise DiagonalSolveError("closed-form tensor fails the Hewitt-Zuckerman transform")
 
 

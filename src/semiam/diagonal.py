@@ -35,14 +35,13 @@ def unit(s: Semilattice) -> tuple:
     return s._unit
 
 
-def first_unit_failure(base, u, elements):
-    """The first q in elements with u * delta_q != delta_q, or None.
+def first_unit_failure(base, u):
+    """The first element q with u * delta_q != delta_q, or None.
 
-    u is a coefficient tuple by element id over a commutative base.  If u
-    fixes a generating set, it fixes every product of generators too.
+    u is a coefficient tuple by element id over a commutative base.
     """
     support = [(x, c) for x, c in enumerate(u) if c]
-    for q in elements:
+    for q in range(base.n):
         image = [0] * base.n
         for x, c in support:
             image[base.table[x][q]] += c

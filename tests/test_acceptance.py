@@ -5,6 +5,7 @@ One test per criterion; `pytest -v` prints one pass/fail line for each.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from conftest import make_g, make_six
@@ -34,7 +35,14 @@ from semiam.enumeration import (
     gap_search,
 )
 from semiam.moebius import diagonal_via_mobius, mobius_table
-from semiam.semilattice import chain, flat, flat_with_top, from_hasse, power_set
+from semiam.semilattice import (
+    Semilattice,
+    chain,
+    flat,
+    flat_with_top,
+    from_hasse,
+    power_set,
+)
 
 from test_clifford import G2_MATRIX
 
@@ -177,6 +185,41 @@ def test_no_constant_strictly_between_five_and_nine():
     ]
     assert report.min_am_beyond() == 9
     assert elapsed < 60.0, f"gap search took {elapsed:.1f}s"
+
+
+def test_adding_a_maximal_element_adds_one_rank_one_term_and_raises_am():
+    # S minus a maximal element m is a down-closed subsemilattice whose
+    # Moebius columns are those of S, so D(S) - (D(S minus m) + 0) is
+    # c (x) c with c = mu(., m); the rise in AM is then at least 4, as
+    # both are 1 mod 4.  The engine is the corner-growing recursion, not
+    # the Moebius sum.  Observed through n = 7, not proved: a failure is
+    # data, and every one is listed.
+    steps = Counter()
+    failures = []
+    for size in range(2, 8):
+        for s in enumerate_semilattices(size):
+            d = diagonal_recursive(s)
+            for m in (x for x in range(s.n) if not s.strictly_above[x]):
+                keep = [x for x in range(s.n) if x != m]
+                sub = Semilattice([[keep.index(s.table[a][b]) for b in keep]
+                                   for a in keep])
+                e = diagonal_recursive(sub)
+                c = mobius_table(s).columns[m]
+                rest = [[Fraction(0)] * s.n for _ in range(s.n)]
+                for i, a in enumerate(keep):
+                    for j, b in enumerate(keep):
+                        rest[a][b] = Fraction(e.rows[i][j], e.den)
+                if any(Fraction(d.rows[a][b], d.den) - rest[a][b]
+                       != c.get(a, 0) * c.get(b, 0)
+                       for a in range(s.n) for b in range(s.n)):
+                    failures.append(("rank one", s.table, m))
+                step = d.am() - e.am()
+                if step < 4:
+                    failures.append(("step", s.table, m, step))
+                steps[step] += 1
+    assert failures == []
+    assert steps == {4: 483, 16: 128, 36: 26, 12: 9, 32: 9, 64: 5, 60: 2,
+                     28: 1, 100: 1}
 
 
 def test_inversion_and_verification_properties():

@@ -21,7 +21,6 @@ from semiam.clifford import (
     FiniteAbelianGroup,
     NotUnitalError,
     build_clifford,
-    clifford_unit_from_skeleton,
     diagonal_closed_form,
     diagonal_solve,
     hom_systems,
@@ -37,7 +36,14 @@ from semiam.diagonal import (
 )
 from semiam.enumeration import enumerate_semilattices, gap_instances, gap_search
 from semiam.moebius import diagonal_via_mobius
-from semiam.semilattice import Semilattice, chain, flat, flat_with_top, power_set
+from semiam.semilattice import (
+    Semilattice,
+    _first_nonassociative,
+    chain,
+    flat,
+    flat_with_top,
+    power_set,
+)
 
 from test_cli import D_SIX_ROWS, G2_JSON
 from test_clifford import G2_MATRIX
@@ -83,10 +89,24 @@ def per_cell_table(g: CliffordSemigroup) -> tuple:
     return tuple(table)
 
 
+def assert_table_is_the_clifford_semigroup(g: CliffordSemigroup):
+    """g.table is the per-cell definition, and a commutative, associative
+    table whose idempotents are exactly the block identities, multiplying
+    as the skeleton does: what build_clifford leaves to the construction."""
+    table = g.table
+    assert table == per_cell_table(g)
+    assert tuple(zip(*table)) == table
+    assert _first_nonassociative(table) is None
+    assert [x for x in range(g.n) if table[x][x] == x] == sorted(g.offset)
+    for s, meets in enumerate(g.skeleton.table):
+        for t, r in enumerate(meets):
+            assert table[g.offset[s]][g.offset[t]] == g.offset[r]
+
+
 def assert_engines_agree(g: CliffordSemigroup):
     d = diagonal_closed_form(g)
     assert d == diagonal_solve(g)
-    assert clifford_unit_from_skeleton(g) == unit_solve(g)
+    assert g.layout.unit == unit_solve(g)
     ok, witness = verify_diagonal(d, unit_solve(g))
     assert ok, witness
 
@@ -124,7 +144,7 @@ def test_closed_form_matches_solver_on_non_cyclic_blocks(skeleton, block):
         for homs in rng.sample(systems, min(3, len(systems))):
             g = build_clifford(skeleton, groups, homs)
             assert isinstance(g, CliffordSemigroup)
-            assert g.table == per_cell_table(g)
+            assert_table_is_the_clifford_semigroup(g)
             assert_engines_agree(g)
 
 
@@ -132,8 +152,7 @@ def test_table_matches_the_per_cell_definition_on_the_gap_family():
     instances = gap_instances()
     assert len(instances) == 332
     for inst in instances:
-        g = build_instance(inst)
-        assert g.table == per_cell_table(g)
+        assert_table_is_the_clifford_semigroup(build_instance(inst))
 
 
 def test_units_are_int_tuples_and_the_clifford_units_solve():
@@ -146,7 +165,7 @@ def test_units_are_int_tuples_and_the_clifford_units_solve():
     assert len(instances) == 332
     for inst in instances:
         g = build_instance(inst)
-        u = clifford_unit_from_skeleton(g)
+        u = g.layout.unit
         assert type(u) is tuple and len(u) == g.n
         assert all(type(c) is int for c in u)
         assert u == unit_solve(g)
@@ -295,27 +314,6 @@ def test_am_sums_over_the_common_denominator():
     assert d == diagonal_solve(g)
     assert d.am() == Fraction(sum(abs(v) for row in d.rows for v in row), 6)
     assert d.am() == sum((abs(Fraction(v, 6)) for row in d.rows for v in row), Fraction(0))
-
-
-class CollapsedClifford:
-    """Every product is the zero element: a block identity that is no unit."""
-
-    def __init__(self):
-        self.skeleton = chain(0)
-        self.n = 2
-        self.offset = {0: 0}
-        self.table = ((0, 0), (0, 0))
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def generating_set(self):
-        return (0, 1)
-
-
-def test_unit_check_failure_is_loud():
-    with pytest.raises(NotUnitalError):
-        clifford_unit_from_skeleton(CollapsedClifford())
 
 
 def test_closed_form_failure_is_loud(monkeypatch):
@@ -577,8 +575,8 @@ def test_the_transform_accepts_exactly_what_verify_diagonal_accepts():
     seen = Counter()
     for inst in instances:
         g = trusted_build(inst.skeleton, inst.groups, inst.homs)
-        u = clifford_unit_from_skeleton(g)
-        assert g.layout.unit == u
+        u = g.layout.unit
+        assert u == unit_solve(g)
         for d in _certificate_cases(diagonal_closed_form(g), rng):
             accepted = clifford._transform_accepts(g, d)
             assert accepted == verify_diagonal(d, u)[0]
@@ -599,7 +597,8 @@ def test_a_corrupted_unit_is_caught_on_the_transform_path(monkeypatch):
     inst = gap_instances()[-1]
     skeleton = Semilattice(inst.skeleton.table)  # no layout kept from before
     g = trusted_build(skeleton, inst.groups, inst.homs)
-    assert g.layout.unit is None
+    with pytest.raises(NotUnitalError, match=f"s >= {skeleton.minimum} sums to 2"):
+        g.layout.unit
     with pytest.raises(NotUnitalError):
         unit_and_diagonal(g)
 
@@ -613,29 +612,58 @@ def test_a_transform_reject_is_never_accepted_silently(monkeypatch):
         unit_and_diagonal(g)
 
 
-def test_the_gap_path_builds_no_table(monkeypatch):
+def clifford_doc(skeleton, groups, homs) -> str:
+    """The JSON input of the clifford command for this construction."""
+    return json.dumps({
+        "skeleton": {"table": [list(r) for r in skeleton.table]},
+        "groups": [list(g.cyclic_orders) for g in groups],
+        "homs": [{"from": s, "to": t, "gen_images": [list(i) for i in images]}
+                 for (s, t), images in sorted(homs.items())]})
+
+
+def test_the_gap_path_builds_no_table(monkeypatch, capsys):
     def refuse(self, offset):
         raise AssertionError("a block addition table was built")
 
     monkeypatch.setattr(FiniteAbelianGroup, "sum_table", refuse)
     report = gap_search()
     assert report.ok and report.instance_count == 332
-    # user input still builds and checks the table
+    # user input is checked on its homs alone, so neither build_clifford
+    # nor the clifford command builds a table either
     inst = gap_instances()[-1]
+    assert any(any(any(img) for img in images) for images in inst.homs.values())
+    assert isinstance(build_clifford(inst.skeleton, inst.groups, inst.homs),
+                      CliffordSemigroup)
+    doc = clifford_doc(inst.skeleton, inst.groups, inst.homs)
+    assert cli.main(["clifford", doc]) == 0
+    capsys.readouterr()
+    # verify reads the table of a Clifford base
+    rows = [[str(v) for v in row] for row in G2_MATRIX]
+    doc = json.dumps({"base": json.loads(G2_JSON), "diagonal": rows})
     with pytest.raises(AssertionError, match="addition table"):
-        build_clifford(inst.skeleton, inst.groups, inst.homs)
+        cli.main(["verify", doc])
 
 
-# the digests of what the generating-set pass on the table certified
-@pytest.mark.parametrize("skeleton, order, digest", [
-    (flat_with_top(30), 2,
+# the digests of what the generating-set pass on the table certified, and
+# of what the table checks in build_clifford accepted; the blocks are
+# listed by skeleton element, bottom first, with the last of the hom
+# systems when last_system is set and trivial homs otherwise
+@pytest.mark.parametrize("skeleton, orders, last_system, digest", [
+    (flat_with_top(30), [[2]] * 32, False,
      "5deab02083cf2e523d008308727ec00d4267868193d05c9e62e66855284e218e"),
-    (power_set(4), 1,
+    (power_set(4), [[1]] * 16, False,
      "acb4f42f7f15316447b97a513f7c5efc3b1c51fe1962eeae7c7dcae8d6776620"),
-], ids=["flat_with_top(30) Z2", "power_set(4) trivial"])
-def test_clifford_output_is_pinned(capsys, skeleton, order, digest):
-    doc = {"skeleton": {"table": [list(r) for r in skeleton.table]},
-           "groups": [[order]] * skeleton.n}
-    assert cli.main(["clifford", json.dumps(doc)]) == 0
+    (chain(2), [[2, 2], [4], [2, 4]], True,
+     "2450e7fbcc74b37b1d9d583993be7cce436a50286ecd30a40971e92f3b521586"),
+    (flat_with_top(2), [[2, 2]] * 4, True,
+     "6caf1faf5b2a9e7d96707b21c8165505da1cd22ff3c1c2b626125fadb7ee5495"),
+], ids=["flat_with_top(30) Z2", "power_set(4) trivial",
+        "chain(2) Z2xZ2 Z4 Z2xZ4 last system", "flat_with_top(2) Z2xZ2 last system"])
+def test_clifford_output_is_pinned(capsys, skeleton, orders, last_system, digest):
+    groups = [FiniteAbelianGroup(k) for k in orders]
+    homs = {}
+    if last_system:
+        *_, homs = hom_systems(skeleton, groups)
+    assert cli.main(["clifford", clifford_doc(skeleton, groups, homs)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -9,7 +9,6 @@ from semiam.clifford import (
     FiniteAbelianGroup,
     build_clifford,
     collapse,
-    clifford_unit_from_skeleton,
     diagonal_closed_form,
     diagonal_solve,
     hom_systems,
@@ -84,7 +83,7 @@ def test_clifford_engines_agree_on_random_block_systems():
         homs = rng.choice(list(islice(hom_systems(skel, groups), 50)))
         g = build_clifford(skel, groups, homs)
         assert isinstance(g, CliffordSemigroup)
-        u, d = clifford_unit_from_skeleton(g), diagonal_closed_form(g)
+        u, d = g.layout.unit, diagonal_closed_form(g)
         assert verify_diagonal(d, u) == (True, None)
         if g.n <= 16:
             solved += 1

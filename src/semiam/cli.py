@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 
 from . import clifford as clifford_mod
@@ -125,8 +124,16 @@ def _semilattice_payload(s: Semilattice) -> dict:
 
 
 def _canonical_matrix_strings(d: DiagonalTensor):
+    """rat_str of each rows[g][h] / den, in lowest terms by one gcd."""
     perm, rows, den = d.base.canonical_perm, d.rows, d.den
-    return [[rat_str(Fraction(rows[g][h], den)) for h in perm] for g in perm]
+    if den == 1:
+        return [[str(rows[g][h]) for h in perm] for g in perm]
+
+    def over_den(v):
+        k = math.gcd(v, den)
+        return str(v // k) if k == den else f"{v // k}/{den // k}"
+
+    return [[over_den(rows[g][h]) for h in perm] for g in perm]
 
 
 def _semilattice_diagonal(s: Semilattice, method: str) -> DiagonalTensor:

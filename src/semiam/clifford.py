@@ -26,8 +26,8 @@ from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 # a chain of trivial blocks given as a table, runs `semiam clifford` in
 # about 11 s on a shared 2-CPU 2.0 GHz Xeon under Python 3.11, most of it
 # in the skeleton's cover scan (Semilattice._derive) and MoebiusTable.
-# flat_with_top(510) takes 1.0-1.5 s, most of it in rendering the diagonal
-# (1.9 of 3.3 profiled seconds) and in check_table.
+# flat_with_top(510) takes 0.5-0.9 s, most of it in reading the skeleton
+# table (0.55 of 1.41 profiled seconds) and in writing the JSON.
 MAX_ELEMENTS = 512
 
 
@@ -188,9 +188,9 @@ class _Layout:
     offsets folded in, the inverses, the offset Moebius supports, the
     lifted unit and the transform targets."""
 
-    def __init__(self, skeleton: Semilattice, groups: tuple):
+    def __init__(self, skeleton: Semilattice, groups):
         self.skeleton = skeleton
-        self.groups = groups
+        self.groups = groups = tuple(groups)
         blocks = skeleton.canonical_perm
         offset = [0] * skeleton.n
         n = 0
@@ -289,16 +289,6 @@ class _Layout:
         return self._targets[den]
 
 
-def _layout(skeleton: Semilattice, groups: tuple) -> _Layout:
-    """The layout over skeleton and these group objects.  The last one
-    built is kept on the skeleton, so a run of instances over one pair,
-    as gap_search meets them, derives it once."""
-    layout = skeleton._layout
-    if layout is None or layout.groups != groups:
-        layout = skeleton._layout = _Layout(skeleton, groups)
-    return layout
-
-
 class CliffordSemigroup:
     """Flattened semigroup of a validated Clifford construction.
 
@@ -309,11 +299,11 @@ class CliffordSemigroup:
     a transitive system, as build_clifford and hom_systems make sure.
     """
 
-    def __init__(self, skeleton: Semilattice, groups, homs):
-        self.skeleton = skeleton
-        self.groups = tuple(groups)
+    def __init__(self, layout: _Layout, homs):
+        self.layout = layout
+        self.skeleton = layout.skeleton
+        self.groups = layout.groups
         self.homs = dict(homs)  # (s, t) with t < s strictly -> ConnectingHom
-        self.layout = layout = _layout(skeleton, self.groups)
         self.n = layout.n
         self.offset = layout.offset
         self.canonical_perm = layout.canonical_perm
@@ -486,7 +476,7 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         return ValidationReport(False, [
             Violation("hom_transitive", triple)
             for triple in _intransitive(full, _triples(skeleton, every_triple=True))])
-    return CliffordSemigroup(skeleton, groups, full)
+    return CliffordSemigroup(_Layout(skeleton, groups), full)
 
 
 def unit_solve(base) -> tuple:
@@ -600,6 +590,28 @@ def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
         raise DiagonalSolveError(f"closed-form tensor fails verification: {witness}")
     # the two certificates disagree: never count such an AM
     raise DiagonalSolveError("closed-form tensor fails the Hewitt-Zuckerman transform")
+
+
+def certified_ams(instances):
+    """Yield the AM of each instance from unit_and_diagonal, checking
+    nothing: an instance has a skeleton, groups and homs, {(s, t):
+    gen_images} of a valid transitive system, as gap_instances lists them.
+    A run of instances over one skeleton and groups tuple shares a layout
+    and one ConnectingHom per distinct map, both dropped when the run ends,
+    so a search over large groups, whose maps seldom repeat, never holds
+    every image tuple it built.
+    """
+    layout = None
+    for inst in instances:
+        if layout is None or (inst.skeleton, inst.groups) != (layout.skeleton, layout.groups):
+            layout, maps = _Layout(inst.skeleton, inst.groups), {}
+        homs = {}
+        for (s, t), gen_images in inst.homs.items():
+            key = (inst.groups[s], inst.groups[t], gen_images)
+            if key not in maps:
+                maps[key] = ConnectingHom(*key)
+            homs[(s, t)] = maps[key]
+        yield unit_and_diagonal(CliffordSemigroup(layout, homs))[1].am()
 
 
 def diagonal_solve(base) -> DiagonalTensor:

@@ -13,13 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .clifford import (
-    CliffordSemigroup,
-    ConnectingHom,
-    FiniteAbelianGroup,
-    hom_systems,
-    unit_and_diagonal,
-)
+from .clifford import FiniteAbelianGroup, certified_ams, hom_systems
 from .diagonal import diagonal_recursive
 from .exactlinalg import rat_str
 from .moebius import diagonal_via_mobius
@@ -294,31 +288,15 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     """Solve every instance in the family and report the AM multiset.
 
     The point: no commutative Clifford semigroup algebra in this family has
-    an amenability constant strictly between 5 and 9.  Each instance is
-    built without the checks of build_clifford, since hom_systems lists
-    only valid transitive systems, and each diagonal comes from the closed
-    form and is verified, with the unit, before its constant is counted.
+    an amenability constant strictly between 5 and 9.  hom_systems lists
+    only valid transitive systems, so certified_ams solves the instances
+    without the checks of build_clifford, and certifies each unit and
+    diagonal before its constant is counted.
     """
     instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
     counts: dict = {}
     violations = []
-    # one ConnectingHom per distinct map of the current groups tuple: the
-    # instances over one tuple are consecutive and share its maps, and
-    # dropping them with the tuple keeps a search over many large groups,
-    # whose maps seldom repeat, from holding every image tuple it built
-    groups = maps = None
-    for inst in instances:
-        if inst.groups is not groups:
-            groups, maps = inst.groups, {}
-        homs = {}
-        for (s, t), gen_images in inst.homs.items():
-            key = (inst.groups[s], inst.groups[t], gen_images)
-            hom = maps.get(key)
-            if hom is None:
-                hom = maps[key] = ConnectingHom(*key)
-            homs[(s, t)] = hom
-        built = CliffordSemigroup(inst.skeleton, inst.groups, homs)
-        am = unit_and_diagonal(built)[1].am()
+    for inst, am in zip(instances, certified_ams(instances)):
         inst.am = am
         counts[am] = counts.get(am, 0) + 1
         if 5 < am < 9:

@@ -130,10 +130,8 @@ class Semilattice:
         if len(self.labels) != self.n or len(set(self.labels)) != self.n:
             raise ValueError("need one distinct label per element")
         self._derive()
-        # set on first use by moebius.mobius_table, diagonal.unit and
-        # clifford._layout, so every Clifford instance over one skeleton
-        # object shares them
-        self._mobius = self._unit = self._layout = None
+        # set on first use by moebius.mobius_table and diagonal.unit
+        self._mobius = self._unit = None
 
     def _derive(self):
         n, table = self.n, self.table
@@ -196,7 +194,7 @@ class Semilattice:
         """The meet-irreducibles: elements with at most one upper cover.
 
         An element with two upper covers is their meet, so every element is
-        a meet of these.  Shared protocol with CliffordSemigroup.
+        a meet of these.
         """
         upper_covers = [0] * self.n
         for s, _ in self.hasse:
@@ -236,7 +234,8 @@ def from_hasse(n: int, covers, labels=None):
     """Build from cover edges (s, t) meaning s < t.
 
     Fails with a report when the edges contain a cycle or when some pair has
-    no greatest common lower bound.
+    no greatest common lower bound: each element s names at most one of
+    each, (s, t) for the first t > s that fails.
     """
     violations = []
     edges = []
@@ -260,6 +259,7 @@ def from_hasse(n: int, covers, labels=None):
         for j in range(i + 1, n):
             if down[j] >> i & 1 and down[i] >> j & 1:
                 violations.append(Violation("cycle", (i, j)))
+                break
     if violations:
         return ValidationReport(False, violations)
     # the meet of s and t is the element whose down-set is their overlap
@@ -270,8 +270,8 @@ def from_hasse(n: int, covers, labels=None):
             best = by_down.get(down[s] & down[t])
             if best is None:
                 violations.append(Violation("meet", (s, t)))
-            else:
-                table[s][t] = table[t][s] = best
+                break
+            table[s][t] = table[t][s] = best
     if violations:
         return ValidationReport(False, violations)
     # a greatest lower bound for every pair makes the table a meet:

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import semiam
+from semiam import enumeration
+from semiam.exactlinalg import SparseEliminator
 from semiam.moebius import mobius_table
 from semiam.semilattice import chain
 
@@ -60,3 +62,28 @@ def test_cli_import_loads_every_traced_module_and_no_dataclasses():
     assert "inspect" not in loaded
     for span, module_name, _ in load_spans().TRACED:
         assert module_name in loaded, span
+
+
+def test_gap_search_lists_its_instances_once_as_a_list(monkeypatch):
+    # the tracer counts enumeration.instances by len() of the result of
+    # the one gap_instances call that gap_search makes
+    listings = []
+    real = enumeration.gap_instances
+
+    def listing(*args):
+        listings.append(real(*args))
+        return listings[-1]
+
+    monkeypatch.setattr(enumeration, "gap_instances", listing)
+    report = enumeration.gap_search(2, 3)
+    assert len(listings) == 1
+    assert type(listings[0]) is list
+    assert len(listings[0]) == report.instance_count > 0
+
+
+def test_add_row_returns_the_status_names_the_tracer_counts():
+    # the tracer builds the counter exactlinalg.rows_<status> from each
+    # add_row result
+    elim = SparseEliminator(2)
+    assert [elim.add_row({0: 1}, 1), elim.add_row({0: 2}, 2),
+            elim.add_row({0: 3}, 1)] == ["pivot", "dependent", "inconsistent"]

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from conftest import SIX_LABELS, make_six
 from oracles import relabel
 from semiam import cli
 from semiam.diagonal import DiagonalTensor, diagonal_recursive
+from semiam.exactlinalg import rat_str
 
 SIX_JSON = json.dumps({"table": [list(r) for r in make_six().table]})
 BROOM_JSON = json.dumps({"n": 4, "hasse": [[0, 1], [0, 2], [1, 3]]})
@@ -84,6 +86,25 @@ def test_validate_rejects_booleans_as_integers(capsys, doc, axiom):
     assert code == 2
     assert [v["axiom"] for v in payload["violations"]] == [axiom]
     assert err == ""
+
+
+def test_validate_bounds_the_report_on_a_large_antichain(capsys):
+    # 24 bytes of input: one meet violation per element, not one per pair
+    code, payload, _ = run_json(capsys, "validate", '{"n": 800, "hasse": []}')
+    assert code == 2
+    assert len(payload["violations"]) == 799
+    assert payload["violations"][-1] == {"axiom": "meet", "witness": [798, 799]}
+
+
+def test_matrix_strings_read_the_ints_as_rat_str_reads_fractions():
+    base = make_six()
+    perm = base.canonical_perm
+    sixths = DiagonalTensor(
+        base, [[Fraction(3 * g - 5 * h, 6) for h in range(6)] for g in range(6)])
+    assert sixths.den == 6
+    for d in (sixths, diagonal_recursive(base)):
+        assert cli._canonical_matrix_strings(d) == [
+            [rat_str(Fraction(d.rows[g][h], d.den)) for h in perm] for g in perm]
 
 
 def test_validate_rejects_bad_table(capsys):

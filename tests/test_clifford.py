@@ -522,3 +522,19 @@ def test_size_bound_rejects_before_any_group_is_built(monkeypatch):
     # exactly at the bound the input goes on to build its groups
     with pytest.raises(GroupBuilt):
         from_json_dict({"skeleton": two, "groups": [[half], [MAX_ELEMENTS - half]]})
+
+
+def test_building_a_clifford_semigroup_leaves_its_skeleton_as_it_was():
+    # the skeleton keeps its own Moebius table and unit; layouts and homs
+    # belong to the semigroups built over it
+    skeleton = make_six()
+    before = dict(vars(skeleton))
+    groups = [FiniteAbelianGroup([k]) for k in (2, 1, 3, 2, 1, 4)]
+    g = build_clifford(skeleton, groups)
+    clifford_mod.unit_and_diagonal(g)
+    assert skeleton._mobius is not None and skeleton._unit is not None
+    after = dict(vars(skeleton))
+    for cached in ("_mobius", "_unit"):
+        del before[cached], after[cached]
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())

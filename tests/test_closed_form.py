@@ -34,7 +34,7 @@ from semiam.diagonal import (
     unit,
     verify_diagonal,
 )
-from semiam.enumeration import enumerate_semilattices, gap_instances, gap_search
+from semiam.enumeration import GapInstance, enumerate_semilattices, gap_instances, gap_search
 from semiam.moebius import diagonal_via_mobius
 from semiam.semilattice import (
     Semilattice,
@@ -56,9 +56,10 @@ def build_instance(inst) -> CliffordSemigroup:
 
 
 def trusted_build(skeleton, groups, homs) -> CliffordSemigroup:
-    """The build gap_search runs: one ConnectingHom per pair, straight
-    from hom_systems' images, with none of build_clifford's checks."""
-    return CliffordSemigroup(skeleton, groups, {
+    """The build certified_ams runs: a layout and one ConnectingHom per
+    pair, straight from hom_systems' images, with none of build_clifford's
+    checks."""
+    return CliffordSemigroup(clifford._Layout(skeleton, groups), {
         (s, t): ConnectingHom(groups[s], groups[t], images)
         for (s, t), images in homs.items()})
 
@@ -469,10 +470,12 @@ def test_symmetric_acceptance_never_walks_both_sides(monkeypatch, capsys):
 
 def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
     # each instance is built over the family's own skeleton and groups,
-    # which earlier instances' layouts and hom images have filled, and
-    # over fresh copies of both, which share nothing
+    # whose Moebius tables and units earlier instances have filled, and
+    # over fresh copies of both, which share nothing; certified_ams, which
+    # shares layouts and homs along the family, gives the fresh AMs
     instances = gap_instances()
     assert len(instances) == 332
+    fresh_ams = []
     for inst in instances:
         shared = build_instance(inst)
         skeleton = Semilattice(inst.skeleton.table)
@@ -480,7 +483,22 @@ def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
         fresh = build_clifford(skeleton, groups, inst.homs)
         assert shared.table == fresh.table
         assert shared.generating_set() == fresh.generating_set()
-        assert unit_and_diagonal(shared) == unit_and_diagonal(fresh)
+        u, d = unit_and_diagonal(fresh)
+        assert unit_and_diagonal(shared) == (u, d)
+        fresh_ams.append(d.am())
+    assert list(clifford.certified_ams(instances)) == fresh_ams
+
+
+def test_certified_ams_gives_each_skeleton_its_own_layout():
+    # two skeletons over one groups tuple object: a layout shared on the
+    # groups alone would solve the second over the first's skeleton
+    groups = (FiniteAbelianGroup([2]),) + (FiniteAbelianGroup([1]),) * 3
+    instances = [GapInstance(skeleton, groups, homs)
+                 for skeleton in (chain(3), flat_with_top(2))
+                 for homs in hom_systems(skeleton, groups)]
+    expected = [unit_and_diagonal(build_instance(inst))[1].am() for inst in instances]
+    assert expected == [13, 25]
+    assert list(clifford.certified_ams(instances)) == expected
 
 
 def test_the_trusted_build_matches_the_checked_one():
@@ -595,9 +613,8 @@ def test_a_corrupted_unit_is_caught_on_the_transform_path(monkeypatch):
 
     monkeypatch.setattr(clifford, "unit", corrupted)
     inst = gap_instances()[-1]
-    skeleton = Semilattice(inst.skeleton.table)  # no layout kept from before
-    g = trusted_build(skeleton, inst.groups, inst.homs)
-    with pytest.raises(NotUnitalError, match=f"s >= {skeleton.minimum} sums to 2"):
+    g = trusted_build(inst.skeleton, inst.groups, inst.homs)
+    with pytest.raises(NotUnitalError, match=f"s >= {inst.skeleton.minimum} sums to 2"):
         g.layout.unit
     with pytest.raises(NotUnitalError):
         unit_and_diagonal(g)

@@ -275,6 +275,18 @@ def test_from_hasse_rejects_double_bottom_diamond():
     assert report.violations[0].witness == (2, 3)
 
 
+def test_from_hasse_names_one_partner_per_element():
+    # every pair of an antichain lacks a meet, and every pair of a cycle
+    # lies on it: each element names only its first failing partner, so
+    # the report grows with n, not n^2
+    antichain = from_hasse(200, [])
+    cycle = from_hasse(300, [(i, (i + 1) % 300) for i in range(300)])
+    for report, axiom, n in ((antichain, "meet", 200), (cycle, "cycle", 300)):
+        assert isinstance(report, ValidationReport)
+        assert [(v.axiom, v.witness) for v in report.violations] == [
+            (axiom, (s, s + 1)) for s in range(n - 1)]
+
+
 def test_from_hasse_builds_a_long_chain():
     s = from_hasse(150, [(i, i + 1) for i in range(149)])
     assert isinstance(s, Semilattice)

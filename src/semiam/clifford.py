@@ -44,9 +44,9 @@ class FiniteAbelianGroup:
 
     Elements are indexed 0..order-1 in lexicographic digit order, so the
     identity (all zeros) is index 0.  A group stores only its factor
-    orders and generators: each Clifford layout builds its own block
-    addition tables and each hom its own image tuple, so a group shared by
-    many layouts holds no per-element data between them.
+    orders: each Clifford layout builds its own block addition tables and
+    each hom its own image tuple, so a group shared by many layouts holds
+    no per-element data between them.
     """
 
     def __init__(self, cyclic_orders):
@@ -57,10 +57,6 @@ class FiniteAbelianGroup:
         self.order = 1
         for k in orders:
             self.order *= k
-        # the generator of factor i has digit 1 there and 0 elsewhere
-        self._generators = tuple(
-            self.index([int(pos == i) for pos in range(len(orders))])
-            for i, k in enumerate(orders) if k > 1)
 
     def sum_table(self, offset: int) -> list:
         """sum_table(offset)[i][j] is offset + the index of element i +
@@ -94,10 +90,6 @@ class FiniteAbelianGroup:
         for d, k in zip(digits, self.cyclic_orders):
             i = i * k + d % k
         return i
-
-    def generators(self) -> tuple:
-        """One generator index per nontrivial cyclic factor."""
-        return self._generators
 
     def __repr__(self):
         return f"FiniteAbelianGroup{self.cyclic_orders}"
@@ -184,9 +176,9 @@ class _Layout:
     """What every Clifford semigroup over one skeleton and one tuple of
     groups derives without reading its homs: the block offsets, which are
     the ids of the block identities, and, when they are asked for, block_of
-    and member_of, the generating set, the block addition tables with the
-    offsets folded in, the inverses, the offset Moebius supports, the
-    lifted unit and the transform targets."""
+    and member_of, the block addition tables with the offsets folded in,
+    the inverses, the offset Moebius supports, the lifted unit, its image
+    under the transform and the transform targets."""
 
     def __init__(self, skeleton: Semilattice, groups):
         self.skeleton = skeleton
@@ -215,19 +207,6 @@ class _Layout:
                      for i in range(self.groups[s].order))
 
     @cached_property
-    def generating_set(self) -> tuple:
-        """See CliffordSemigroup.generating_set."""
-        irreducible = set(self.skeleton.generating_set())
-        gens = []
-        for s in self.skeleton.canonical_perm:
-            group, start = self.groups[s], self.offset[s]
-            if group.order > 1:
-                gens += [start + g for g in group.generators()]
-            elif s in irreducible:
-                gens.append(start)
-        return tuple(gens)
-
-    @cached_property
     def sums(self) -> tuple:
         """sums[r][a][b] is the id of a + b in block r."""
         return tuple(g.sum_table(self.offset[r]) for r, g in enumerate(self.groups))
@@ -248,25 +227,18 @@ class _Layout:
     @cached_property
     def unit(self) -> tuple:
         """The skeleton's unit on the block identities, as ints by element
-        id, once the transform Phi takes it to the sum of the block
-        identities, as the unit's image must be; NotUnitalError otherwise.
-
-        Phi(delta of the identity of block e) is the sum of the identities
-        of the blocks f <= e, so Phi(u) is that sum exactly when the unit
-        mass on the s >= f adds up to 1 for every skeleton element f.  Phi
-        is an isomorphism, so this certifies u on its own.
-        """
-        u = unit(self.skeleton)
-        above = self.skeleton.strictly_above
-        for f in range(self.skeleton.n):
-            mass = u[f] + sum(u[s] for s in above[f])
-            if mass != 1:
-                raise NotUnitalError(
-                    f"the unit fails the Hewitt-Zuckerman transform: its mass "
-                    f"on the skeleton elements s >= {f} sums to {mass}, not 1")
+        id; verify_diagonal certifies it by its image under Phi."""
         coeffs = [0] * self.n
-        for s, c in enumerate(u):
+        for s, c in enumerate(unit(self.skeleton)):
             coeffs[self.offset[s]] = c
+        return tuple(coeffs)
+
+    @cached_property
+    def unit_image(self) -> tuple:
+        """Phi of the unit: the sum of the block identities."""
+        coeffs = [0] * self.n
+        for start in self.offset:
+            coeffs[start] = 1
         return tuple(coeffs)
 
     def target(self, den: int):
@@ -314,8 +286,8 @@ class CliffordSemigroup:
     @cached_property
     def table(self) -> tuple:
         """The multiplication table by element id, built on first use:
-        the solver oracle, cmd_verify and the reject path of
-        unit_and_diagonal read it, the transform does not."""
+        the solver oracle and a verify_diagonal reject read it, the
+        transform does not."""
         skeleton = self.skeleton
         sums = self.layout.sums
         blocks = skeleton.canonical_perm
@@ -358,15 +330,26 @@ class CliffordSemigroup:
                 labels.append(f"{lbl}[{digits}]")
         return tuple(labels)
 
-    def generating_set(self) -> tuple:
-        """The cyclic generators of every block, plus the identity of each
-        trivial block over a meet-irreducible of the skeleton.
+    @cached_property
+    def preimages(self) -> list:
+        """preimages[a] lists the x with a in pushes(x): for x in block e,
+        pushes(x) holds phi_{e,f}(x) in every block f <= e, phi_{e,e} the
+        identity, so Phi(delta_x) is the sum of delta_a over a in
+        pushes(x), the transform verify_diagonal lifts by."""
+        preimages = [[] for _ in range(self.n)]
+        offset = self.offset
+        for (e, f), images in self._images.items():
+            source, target = offset[e], offset[f]
+            for x, y in enumerate(images):
+                preimages[target + y].append(source + x)
+        return preimages
 
-        A finite group is generated as a semigroup by its group generators,
-        block identity included.  Any other skeleton element e is the meet
-        of two elements above it, so e's identity is the product of theirs.
-        """
-        return self.layout.generating_set
+    @property
+    def unit_image(self) -> tuple:
+        return self.layout.unit_image
+
+    def transform_target(self, den: int):
+        return self.layout.target(den)
 
     def __repr__(self):
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"
@@ -527,69 +510,19 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
     return DiagonalTensor(g, outer_product_sum(g.n, terms), den)
 
 
-def _preimages(g: CliffordSemigroup) -> list:
-    """preimages[a] lists the x with a in pushes(x): for x in block e,
-    pushes(x) holds phi_{e,f}(x) in every block f <= e, phi_{e,e} the
-    identity, so Phi(delta_x) is the sum of delta_a over a in pushes(x)."""
-    preimages = [[] for _ in range(g.n)]
-    offset = g.offset
-    for (e, f), images in g._images.items():
-        source, target = offset[e], offset[f]
-        for x, y in enumerate(images):
-            preimages[target + y].append(source + x)
-    return preimages
-
-
-def _lift(vectors, preimages) -> list:
-    """Entry a is the sum of vectors[x] over x in preimages[a]: the rows
-    of Z^T V for V with these rows, Z[x][a] = [a in pushes(x)]."""
-    return [vectors[xs[0]] if len(xs) == 1
-            else tuple(map(sum, zip(*map(vectors.__getitem__, xs))))
-            for xs in preimages]
-
-
-def _transform_accepts(g: CliffordSemigroup, d: DiagonalTensor) -> bool:
-    """Whether (Phi (x) Phi)(D) = T, checked as Z^T (den D) Z = den T in
-    ints: the rows of den*D are lifted, then the columns of the result.
-
-    Phi, the Hewitt-Zuckerman map of l1(S) onto the direct sum of the
-    block group algebras, is an algebra isomorphism, and T is the diagonal
-    of that sum (see _Layout.target).  So this holds for the diagonal of
-    l1(S) and for no other tensor, and it reads no table and no Moebius
-    value.
-    """
-    target = g.layout.target(d.den)
-    if target is None:  # den * T is not integral, den * (Phi (x) Phi)(D) is
-        return False
-    preimages = _preimages(g)
-    rows = _lift(d.rows, preimages)
-    # the lifted columns are the rows of the transpose of Z^T (den D) Z,
-    # and den * T is symmetric
-    return _lift(tuple(zip(*rows)), preimages) == target
-
-
 def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
-    """The unit and the closed-form diagonal, once certified: the
-    production path, with unit_solve and diagonal_solve kept as the
-    independent linear-algebra oracle.
-
-    Phi certifies both, and no table is built: Phi(u) must be the sum of
-    the block identities, and (Phi (x) Phi)(D) must be T.  Phi is an
-    isomorphism, so D is then the diagonal, and its moment Phi^-1(1) is
-    the unit u; these are the conditions verify_diagonal checks.  A unit
-    that fails raises NotUnitalError from the layout.  When the transform
-    rejects the tensor, verify_diagonal runs on the table, and its error
-    names the witness.
+    """The unit and the closed-form diagonal, once verify_diagonal
+    certifies both by the transform: the production path, with unit_solve
+    and diagonal_solve kept as the independent linear-algebra oracle.  No
+    table is built unless the pair is rejected, and then the
+    DiagonalSolveError names the witness.
     """
     u = g.layout.unit
     d = diagonal_closed_form(g)
-    if _transform_accepts(g, d):
-        return u, d
     ok, witness = verify_diagonal(d, u)
     if not ok:
         raise DiagonalSolveError(f"closed-form tensor fails verification: {witness}")
-    # the two certificates disagree: never count such an AM
-    raise DiagonalSolveError("closed-form tensor fails the Hewitt-Zuckerman transform")
+    return u, d
 
 
 def certified_ams(instances):
@@ -616,13 +549,11 @@ def certified_ams(instances):
 
 def diagonal_solve(base) -> DiagonalTensor:
     """Exact linear solve for the diagonal of the algebra of base, read
-    through n, table and generating_set() as verify_diagonal reads it.
+    through n, table and canonical_perm.
 
     The system is the moment condition m(D) = u plus centrality against
-    every basis element.  Centrality rows are fed for a generating set
-    first (commuting with generators forces commuting with their products),
-    with the remaining elements as a fallback, and the finished tensor is
-    re-verified against the complete condition set.
+    every basis element, fed top level first until the rows reach full
+    rank, and the finished tensor is checked by verify_diagonal.
     """
     n = base.n
     u = unit_solve(base)
@@ -636,9 +567,7 @@ def diagonal_solve(base) -> DiagonalTensor:
             moment_rows[row[y]][key] = moment_rows[row[y]].get(key, 0) + 1
     for r in range(n):
         elim.add_row(moment_rows[r], u[r], tag=("moment", r))
-    gens = list(base.generating_set())
-    rest = sorted(set(range(n)).difference(gens))
-    for q in gens + rest:
+    for q in reversed(base.canonical_perm):
         if elim.full_rank():
             break
         pre = [[] for _ in range(n)]

@@ -146,20 +146,28 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
 
 
 def verify_diagonal(d: DiagonalTensor, u):
-    """Check the two diagonal conditions; return (True, None) or a witness.
+    """Check that D is the diagonal and u the unit; return (True, None) or
+    a witness.
 
-    Conditions: m(D) = u, and delta_q . D = D . delta_q for every basis
-    element q.  The witness names the first failing equation.  Everything
-    runs on the int matrix den*D; m(den*D) = den*u is compared by
-    cross-multiplying, with u given as ints or Fractions.
+    Acceptance reads no table.  The Hewitt-Zuckerman map Phi, Phi(delta_x)
+    the sum of delta_a over the a whose preimage lists hold x, is an
+    algebra isomorphism of l1(S) onto a direct sum of group algebras, one
+    per block, trivial on a semilattice, where Phi is the zeta transform.
+    So u is the unit exactly when Phi(u) is the sum of the block
+    identities, and D is the diagonal exactly when (Phi (x) Phi)(D) = T,
+    the diagonal of that sum (see _transform_accepts).  The base supplies
+    preimages, unit_image and transform_target(den).
 
-    Acceptance checks centrality on the base's generating set alone: if q
-    and r commute with D, so does qr.  Only a symmetric D can be central,
-    and it is checked on one side (see _central_when_symmetric).  Any
-    other tensor, and one that fails there, walks every q, which names the
-    witness.
+    A reject walks the table to name the first failing equation: m(D) = u,
+    then delta_q . D = D . delta_q for every basis element q, compared in
+    ints on den*D, with u given as ints or Fractions.  A central D whose
+    moment is u fails only when u is not the unit: the witness then names
+    the first a at which Phi(u) is wrong.
     """
     base = d.base
+    lifted_u = tuple([sum(map(u.__getitem__, xs)) for xs in base.preimages])
+    if lifted_u == base.unit_image and _transform_accepts(d):
+        return True, None
     moment = [0] * base.n
     for row, products in zip(d.rows, base.table):
         for p, v in zip(compress(products, row), filter(None, row)):
@@ -172,19 +180,48 @@ def verify_diagonal(d: DiagonalTensor, u):
                 "lhs": Fraction(moment[r], d.den),
                 "rhs": Fraction(c),
             }
-    # l1 of a semilattice or Clifford semigroup is commutative and
-    # semisimple, so a D central for it is a sum of c_i e_i (x) e_i over its
-    # minimal idempotents e_i, hence symmetric: an asymmetric D fails below
     columns = tuple(zip(*d.rows))
-    if columns == d.rows and all(
-            _central_when_symmetric(d, q) for q in base.generating_set()):
-        return True, None
-    q, (g, h, lhs, rhs) = next(
-        (q, found) for q in range(base.n)
-        if (found := _noncentral_pair(d, columns, q))
-    )
-    return False, {"kind": "centrality", "q": q, "pair": (g, h),
-                   "lhs": lhs, "rhs": rhs}
+    for q in range(base.n):
+        found = _noncentral_pair(d, columns, q)
+        if found:
+            g, h, lhs, rhs = found
+            return False, {"kind": "centrality", "q": q, "pair": (g, h),
+                           "lhs": lhs, "rhs": rhs}
+    for a, (lhs, rhs) in enumerate(zip(lifted_u, base.unit_image)):
+        if lhs != rhs:
+            return False, {"kind": "unit", "element": a,
+                           "lhs": Fraction(lhs), "rhs": Fraction(rhs)}
+    # a central D whose moment is the unit is the diagonal, which the
+    # transform accepts: never accept what only the table passes
+    raise RuntimeError("the two certificates disagree: the transform "
+                       "rejects a central tensor whose moment is the unit")
+
+
+def _lift(vectors, preimages) -> list:
+    """Entry a is the sum of vectors[x] over x in preimages[a]: the rows
+    of Z^T V for V with these rows, Z[x][a] = [x in preimages[a]]."""
+    return [vectors[xs[0]] if len(xs) == 1
+            else tuple(map(sum, zip(*map(vectors.__getitem__, xs))))
+            for xs in preimages]
+
+
+def _transform_accepts(d: DiagonalTensor) -> bool:
+    """Whether (Phi (x) Phi)(D) = T, checked as Z^T (den D) Z = den T in
+    ints: the rows of den*D are lifted, then the columns of the result.
+
+    On a semilattice, Z[x][a] = [a <= x] and T is the identity: the
+    characters of l1(S) are x -> [a <= x], and the Gelfand transform takes
+    the diagonal to the diagonal of C^n.  Z is invertible, so this holds
+    for the diagonal and for no other tensor.
+    """
+    target = d.base.transform_target(d.den)
+    if target is None:  # den * T is not integral, den * (Phi (x) Phi)(D) is
+        return False
+    preimages = d.base.preimages
+    rows = _lift(d.rows, preimages)
+    # the lifted columns are the rows of the transpose of Z^T (den D) Z,
+    # and den * T is symmetric
+    return _lift(tuple(zip(*rows)), preimages) == target
 
 
 def _noncentral_pair(d: DiagonalTensor, columns, q: int):
@@ -202,16 +239,6 @@ def _noncentral_pair(d: DiagonalTensor, columns, q: int):
             h = next(h for h in range(d.n) if lhs[h] != rhs[h])
             return g, h, Fraction(lhs[h], d.den), Fraction(rhs[h], d.den)
     return None
-
-
-def _central_when_symmetric(d: DiagonalTensor, q: int) -> bool:
-    """Whether delta_q . D = D . delta_q, for a D equal to its transpose.
-
-    With L the left side, L[a][b] = sum of D[x][b] over qx = a, symmetry
-    makes the right side (D . delta_q)[a][b] = sum of D[a][y] over qy = b
-    equal to L[b][a]: q commutes with D iff L is symmetric."""
-    left = _sums_by_image(d.rows, d.base.table[q])
-    return left == list(zip(*left))
 
 
 def _sums_by_image(vectors, image) -> list:

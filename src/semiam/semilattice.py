@@ -9,6 +9,7 @@ grading and a canonical element order are all derived from it.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 
@@ -190,16 +191,29 @@ class Semilattice:
                     covers.append((s, t))
         self.hasse = tuple(sorted(covers))
 
-    def generating_set(self) -> tuple:
-        """The meet-irreducibles: elements with at most one upper cover.
+    @cached_property
+    def preimages(self) -> tuple:
+        """preimages[a] is a followed by the elements strictly above it:
+        the x with Z[x][a] = [a <= x] = 1 in the zeta transform that
+        verify_diagonal lifts by.  Built on first use, so the many small
+        semilattices of an enumeration never hold them."""
+        return tuple((a,) + above for a, above in enumerate(self.strictly_above))
 
-        An element with two upper covers is their meet, so every element is
-        a meet of these.
-        """
-        upper_covers = [0] * self.n
-        for s, _ in self.hasse:
-            upper_covers[s] += 1
-        return tuple(s for s in range(self.n) if upper_covers[s] <= 1)
+    @property
+    def unit_image(self) -> tuple:
+        """The zeta transform of the unit: 1 at every element."""
+        return (1,) * self.n
+
+    def transform_target(self, den: int) -> list:
+        """den * I as int rows: the zeta transform of den * D for the
+        diagonal D."""
+        zero = [0] * self.n
+        rows = []
+        for a in range(self.n):
+            row = zero.copy()
+            row[a] = den
+            rows.append(tuple(row))
+        return rows
 
     def down_set(self, s: int) -> frozenset:
         return frozenset(t for t in range(self.n) if self.leq[t][s])

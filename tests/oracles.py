@@ -3,11 +3,13 @@
 Two enumeration strategies that back up enumerate_by_extension,
 relabelling and an isomorphism search, the diagonal of a product built
 from its factors, the down-set (Schutzenberger) transform with its
-Moebius inverse, and the zeta identity of a diagonal.  Elements
+Moebius inverse, and the reference verifier, which walks the defining
+equations of a diagonal on the multiplication table.  Elements
 of the algebra are coefficient tuples indexed by element id, as the unit
 is in the library.
 """
 
+from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from semiam.diagonal import DiagonalTensor
@@ -176,20 +178,43 @@ def schutzenberger_inverse(base: Semilattice, values) -> tuple:
     )
 
 
-def zeta_identity_holds(d: DiagonalTensor) -> bool:
-    """Whether Z D Z^T = I, for D = d.rows / d.den over a semilattice and
-    Z[t][s] = [t <= s].
+def first_failing_equation(d: DiagonalTensor, u) -> tuple:
+    """The reference verifier, straight from the definitions on the base's
+    table: (True, None) when m(D) = u and delta_q . D = D . delta_q for
+    every basis element q, else the first failing equation, in the order
+    and the form in which verify_diagonal names it.
 
-    The characters of the semilattice algebra are s -> [t <= s], one per t,
-    and a diagonal D of the algebra satisfies (chi_a (x) chi_b)(D) = [a = b]:
-    the Gelfand transform takes it to the diagonal of C^n.  The check needs
-    neither a generating set nor the unit.  Z is unitriangular in canonical
-    order, so no other tensor passes.
+    The equations are compared on den*D in ints, entry by entry: (delta_q .
+    D)[g][h] sums D[x][h] over the x with qx = g, and (D . delta_q)[g][h]
+    sums D[g][y] over the y with qy = h.  u must be the unit: this checks
+    the two conditions, not that u is one.
     """
     base = d.base
-    up = [(t,) + base.strictly_above[t] for t in range(base.n)]
-    columns = tuple(zip(*d.rows))
-    # zd[a][y] = sum of D[s][y] over s >= a, then the same on the right
-    zd = [[sum(map(column.__getitem__, above)) for column in columns] for above in up]
-    sandwich = [[sum(map(row.__getitem__, above)) for above in up] for row in zd]
-    return sandwich == [[d.den * (a == b) for b in range(base.n)] for a in range(base.n)]
+    n, table, rows = base.n, base.table, d.rows
+    moment = [0] * n
+    for g in range(n):
+        for h in range(n):
+            moment[table[g][h]] += rows[g][h]
+    for r in range(n):
+        lhs = Fraction(moment[r], d.den)
+        if lhs != u[r]:
+            return False, {"kind": "moment", "element": r, "lhs": lhs, "rhs": u[r]}
+    for q in range(n):
+        image = table[q]
+        left = [[0] * n for _ in range(n)]
+        right = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for h in range(n):
+                left[image[x]][h] += rows[x][h]
+                right[x][image[h]] += rows[x][h]
+        for g in range(n):
+            for h in range(n):
+                if left[g][h] != right[g][h]:
+                    return False, {
+                        "kind": "centrality",
+                        "q": q,
+                        "pair": (g, h),
+                        "lhs": Fraction(left[g][h], d.den),
+                        "rhs": Fraction(right[g][h], d.den),
+                    }
+    return True, None

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import semiam
-from semiam import enumeration
+from semiam import clifford, enumeration
 from semiam.exactlinalg import SparseEliminator
 from semiam.moebius import mobius_table
 from semiam.semilattice import chain
@@ -79,6 +79,23 @@ def test_gap_search_lists_its_instances_once_as_a_list(monkeypatch):
     assert len(listings) == 1
     assert type(listings[0]) is list
     assert len(listings[0]) == report.instance_count > 0
+
+
+def test_gap_search_verifies_each_instance_through_the_clifford_module(monkeypatch):
+    # the tracer counts diagonal.verify_diagonal.calls by wrapping the name
+    # on every semiam module that holds it: gap_search reaches it through
+    # semiam.clifford, once per instance
+    calls = []
+    real = clifford.verify_diagonal
+
+    def counted(d, u):
+        calls.append(d.n)
+        return real(d, u)
+
+    monkeypatch.setattr(clifford, "verify_diagonal", counted)
+    report = enumeration.gap_search(2, 3)
+    assert report.ok
+    assert len(calls) == report.instance_count > 0
 
 
 def test_add_row_returns_the_status_names_the_tracer_counts():

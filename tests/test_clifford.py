@@ -59,8 +59,6 @@ def test_group_structure():
     for x in range(4):
         assert sums[x][x] == 0
     assert klein.sum_table(10)[1][2] == 10 + sums[1][2]
-    assert z4.generators() == (1,)
-    assert klein.generators() == (klein.index((1, 0)), klein.index((0, 1)))
 
 
 def test_group_rejects_bad_orders():
@@ -303,9 +301,6 @@ class StubSemigroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    def generating_set(self):
-        return tuple(range(self.n))
-
 
 def test_unit_solve_failure_is_loud():
     # everything collapses to one point: no unit can exist
@@ -363,16 +358,6 @@ def test_labels_and_blocks():
     assert [x for x in range(cs.n) if cs.block_of[x] == 3] == [3, 4]
     assert cs.offset[3] == 3
     assert cs.offset[4] == 5
-    # the meet-irreducibles s1, s2, s4 and 1 with trivial blocks, and the
-    # generator of Z2 at s3; o = s1 s2 and e[s3] = s3[1]^2 are products
-    assert cs.generating_set() == (1, 2, 4, 5, 6)
-
-
-def test_generating_set_skips_redundant_members():
-    cs = build_clifford(chain(0), [FiniteAbelianGroup([4])], {})
-    # the single cyclic generator: its powers give all four elements,
-    # the identity among them
-    assert cs.generating_set() == (1,)
 
 
 TABLE_ORDERS = [(2,), (6,), (2, 2), (2, 4), (3, 3)]

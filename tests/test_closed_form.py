@@ -19,7 +19,6 @@ from semiam.clifford import (
     ConnectingHom,
     DiagonalSolveError,
     FiniteAbelianGroup,
-    NotUnitalError,
     build_clifford,
     diagonal_closed_form,
     diagonal_solve,
@@ -29,7 +28,6 @@ from semiam.clifford import (
 )
 from semiam.diagonal import (
     DiagonalTensor,
-    _noncentral_pair,
     diagonal_recursive,
     unit,
     verify_diagonal,
@@ -45,6 +43,7 @@ from semiam.semilattice import (
     power_set,
 )
 
+from oracles import first_failing_equation
 from test_cli import D_SIX_ROWS, G2_JSON
 from test_clifford import G2_MATRIX
 
@@ -192,46 +191,6 @@ def test_am_family_closed_form():
         assert unit_and_diagonal(make_g(n))[1].am() == 41 + Fraction(4 * (n - 1), n)
 
 
-def _first_failing_equation(d: DiagonalTensor, u: tuple):
-    """The reference: every equation in Fractions, in the order the witness
-    names them."""
-    base = d.base
-    n = base.n
-    entries = [[Fraction(v, d.den) for v in row] for row in d.rows]
-    moment = [Fraction(0)] * n
-    for g in range(n):
-        row = entries[g]
-        for h in range(n):
-            moment[base.table[g][h]] += row[h]
-    for r in range(n):
-        if moment[r] != u[r]:
-            return False, {
-                "kind": "moment",
-                "element": r,
-                "lhs": moment[r],
-                "rhs": u[r],
-            }
-    pre = [[[] for _ in range(n)] for _ in range(n)]
-    for q in range(n):
-        for x in range(n):
-            pre[q][base.table[q][x]].append(x)
-    for q in range(n):
-        pq = pre[q]
-        for g in range(n):
-            for h in range(n):
-                lhs = sum((entries[x][h] for x in pq[g]), Fraction(0))
-                rhs = sum((entries[g][x] for x in pq[h]), Fraction(0))
-                if lhs != rhs:
-                    return False, {
-                        "kind": "centrality",
-                        "q": q,
-                        "pair": (g, h),
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-    return True, None
-
-
 def _perturbed(d: DiagonalTensor, changes) -> DiagonalTensor:
     rows = [[Fraction(v, d.den) for v in row] for row in d.rows]
     for (a, b), delta in changes.items():
@@ -276,7 +235,7 @@ def test_moment_keeping_perturbations_are_rejected_with_the_full_witness(base):
         result = verify_diagonal(bad, u)
         assert result[0] is False
         assert result[1]["kind"] == "centrality"
-        assert result == _first_failing_equation(bad, u)
+        assert result == first_failing_equation(bad, u)
 
 
 def test_every_single_entry_perturbation_gives_the_full_witness():
@@ -286,7 +245,7 @@ def test_every_single_entry_perturbation_gives_the_full_witness():
             bad = _perturbed(d, {(a, b): Fraction(1, 2)})
             result = verify_diagonal(bad, u)
             assert result[0] is False
-            assert result == _first_failing_equation(bad, u)
+            assert result == first_failing_equation(bad, u)
 
 
 def test_a_wrong_unit_is_rejected():
@@ -305,7 +264,7 @@ def test_verifier_accepts_exactly_the_diagonal_on_semilattices():
         for s in enumerate_semilattices(size):
             d, u = diagonal_via_mobius(s), unit(s)
             assert verify_diagonal(d, u) == (True, None)
-            assert _first_failing_equation(d, u) == (True, None)
+            assert first_failing_equation(d, u) == (True, None)
 
 
 def test_am_sums_over_the_common_denominator():
@@ -331,47 +290,6 @@ def test_closed_form_failure_is_loud(monkeypatch):
         unit_and_diagonal(g)
 
 
-def closure(g: CliffordSemigroup, gens) -> set:
-    """Every product of one or more elements of gens."""
-    reached = set(gens)
-    frontier = list(reached)
-    while frontier:
-        fresh = {g.table[x][q] for x in frontier for q in gens} - reached
-        reached |= fresh
-        frontier = list(fresh)
-    return reached
-
-
-def small_block_systems():
-    """Z2 x Z2, Z2 x Z4 and Z6 blocks over the small skeletons, with a
-    seeded sample of their hom systems."""
-    rng = random.Random(3)
-    for skeleton in [chain(0), chain(1), chain(2), flat(2), flat_with_top(2)]:
-        for block in [[2, 2], [2, 4], [6]]:
-            patterns = [[block if i == pos else other for i in range(skeleton.n)]
-                        for pos in range(skeleton.n) for other in ([1], [2])]
-            if skeleton.n <= 3:
-                patterns.append([block] * skeleton.n)
-            for orders in patterns:
-                groups = [FiniteAbelianGroup(k) for k in orders]
-                systems = list(hom_systems(skeleton, groups))
-                for homs in rng.sample(systems, min(3, len(systems))):
-                    yield build_clifford(skeleton, groups, homs)
-
-
-def test_generating_set_generates_the_whole_semigroup():
-    semigroups = [build_instance(inst) for inst in gap_instances()]
-    semigroups += [build_instance(inst) for inst in gap_instances(4, 3)]
-    semigroups += [make_g(k) for k in (2, 3, 4)]
-    semigroups += list(small_block_systems())
-    assert len(semigroups) > 1500
-    for g in semigroups:
-        assert isinstance(g, CliffordSemigroup)
-        gens = g.generating_set()
-        assert len(set(gens)) == len(gens)
-        assert closure(g, gens) == set(range(g.n))
-
-
 def test_a_tensor_central_for_every_block_identity_is_still_rejected():
     # chain o < m < t with Z2 x Z2 at m; ids o = 0, m = 1..4 in digit
     # order (0,0), (0,1), (1,0), (1,1), t = 5.  The block identities 0, 1
@@ -381,32 +299,15 @@ def test_a_tensor_central_for_every_block_identity_is_still_rejected():
     # the moment.
     g = build_clifford(chain(2), [FiniteAbelianGroup(k) for k in ([1], [2, 2], [1])], {})
     assert isinstance(g, CliffordSemigroup)
-    assert g.generating_set() == (0, 3, 2, 5)
     u, d = unit_and_diagonal(g)
     left = {1: 1, 2: 1, 3: -1, 4: -1}
     right = {1: 1, 2: -1, 3: -1, 4: 1}
     bad = _perturbed(d, {(a, b): Fraction(x * y, 4)
                          for a, x in left.items() for b, y in right.items()})
     result = verify_diagonal(bad, u)
-    assert result == _first_failing_equation(bad, u)
+    assert result == first_failing_equation(bad, u)
     assert result[1]["kind"] == "centrality"
     assert result[1]["q"] == 2
-
-
-def _walk_every_q(d: DiagonalTensor, u: tuple):
-    """The verifier's witness without its shortcuts: the moment, then
-    _noncentral_pair on both sides for every q."""
-    moment = _first_failing_equation(d, u)
-    if moment[0] is False and moment[1]["kind"] == "moment":
-        return moment
-    columns = tuple(zip(*d.rows))
-    for q in range(d.n):
-        found = _noncentral_pair(d, columns, q)
-        if found is not None:
-            g, h, lhs, rhs = found
-            return False, {"kind": "centrality", "q": q, "pair": (g, h),
-                           "lhs": lhs, "rhs": rhs}
-    return True, None
 
 
 def _symmetry_breaking_cases(d: DiagonalTensor):
@@ -447,7 +348,7 @@ def test_symmetric_and_asymmetric_perturbations_give_the_full_witness():
             assert (bad.rows == tuple(zip(*bad.rows))) == symmetric
             result = verify_diagonal(bad, u)
             assert result[0] is False
-            assert result == _walk_every_q(bad, u) == _first_failing_equation(bad, u)
+            assert result == first_failing_equation(bad, u)
             assert result[1]["kind"] == ("moment" if kind == "single" else "centrality")
             seen[kind] += 1
     assert min(seen.values()) > 100, seen
@@ -455,7 +356,7 @@ def test_symmetric_and_asymmetric_perturbations_give_the_full_witness():
 
 def test_symmetric_acceptance_never_walks_both_sides(monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError("a symmetric diagonal walked _noncentral_pair")
+        raise AssertionError("an accepted diagonal walked _noncentral_pair")
 
     monkeypatch.setattr(diagonal_mod, "_noncentral_pair", refuse)
     report = gap_search()
@@ -482,7 +383,6 @@ def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
         groups = tuple(FiniteAbelianGroup(g.cyclic_orders) for g in inst.groups)
         fresh = build_clifford(skeleton, groups, inst.homs)
         assert shared.table == fresh.table
-        assert shared.generating_set() == fresh.generating_set()
         u, d = unit_and_diagonal(fresh)
         assert unit_and_diagonal(shared) == (u, d)
         fresh_ams.append(d.am())
@@ -585,25 +485,64 @@ def _certificate_cases(d: DiagonalTensor, rng: random.Random):
         yield _perturbed(d, {(a, b): third, (c, e): -third})
 
 
-def test_the_transform_accepts_exactly_what_verify_diagonal_accepts():
-    # Phi is an isomorphism, so (Phi (x) Phi)(D) = T certifies the diagonal
-    # on its own; a perturbed tensor must fall on the same side of both
+def test_verify_diagonal_accepts_exactly_what_the_reference_accepts():
+    # verify_diagonal accepts by the transform alone: on every perturbed
+    # tensor it must give the verdict and the witness of the defining
+    # equations, walked on the table
     rng = random.Random(19)
-    instances = gap_instances() + random.Random(9).sample(gap_instances(4, 4), 500)
-    seen = Counter()
-    for inst in instances:
+    cases = []
+    for inst in gap_instances() + random.Random(9).sample(gap_instances(4, 4), 500):
         g = trusted_build(inst.skeleton, inst.groups, inst.homs)
-        u = g.layout.unit
-        assert u == unit_solve(g)
-        for d in _certificate_cases(diagonal_closed_form(g), rng):
-            accepted = clifford._transform_accepts(g, d)
-            assert accepted == verify_diagonal(d, u)[0]
-            seen[accepted] += 1
-    assert seen[True] == len(instances)
-    assert seen[False] > 8 * len(instances)
+        cases.append((g.layout.unit, unit_solve(g), diagonal_closed_form(g)))
+    for size in range(1, 7):
+        for s in enumerate_semilattices(size):
+            cases.append((unit(s), unit_solve(s), diagonal_via_mobius(s)))
+    seen = Counter()
+    for u, solved, diagonal in cases:
+        assert u == solved
+        for d in _certificate_cases(diagonal, rng):
+            result = verify_diagonal(d, u)
+            assert result == first_failing_equation(d, u)
+            seen[result[0]] += 1
+    assert seen[True] == len(cases) == 832 + 77
+    assert seen[False] > 8 * len(cases)
+
+
+def test_a_unit_that_is_not_one_is_rejected():
+    # the zero tensor is central with moment zero, and half the diagonal
+    # has half the unit as its moment: only Phi(u) tells that neither u is
+    # the unit; the witness names the first element where Phi(u) is wrong
+    s = chain(2)
+    zero = DiagonalTensor(s, [[0] * 3 for _ in range(3)])
+    assert verify_diagonal(zero, (0, 0, 0)) == (False, {
+        "kind": "unit", "element": 0, "lhs": 0, "rhs": 1})
+    d, u = diagonal_recursive(s), unit(s)
+    half = DiagonalTensor(s, d.rows, 2 * d.den)
+    assert verify_diagonal(half, tuple(Fraction(c, 2) for c in u)) == (False, {
+        "kind": "unit", "element": 0, "lhs": Fraction(1, 2), "rhs": 1})
+    g = make_g(2)
+    u, d = unit_and_diagonal(g)
+    half = DiagonalTensor(g, d.rows, 2 * d.den)
+    result = verify_diagonal(half, tuple(Fraction(c, 2) for c in u))
+    assert result[1]["kind"] == "unit"
+
+
+def test_a_denominator_that_no_block_order_divides_is_rejected():
+    # den * T is not integral for den = 1 over Z2 blocks: the zero tensor,
+    # whose den is 1, must not pass as (Phi (x) Phi)(0) = floor of den * T
+    g = build_clifford(chain(1), [FiniteAbelianGroup([2])] * 2, {})
+    assert isinstance(g, CliffordSemigroup)
+    u = g.layout.unit
+    assert g.transform_target(1) is None
+    zero = DiagonalTensor(g, [[0] * g.n for _ in range(g.n)])
+    result = verify_diagonal(zero, u)
+    assert result == first_failing_equation(zero, u)
+    assert result[1]["kind"] == "moment"
 
 
 def test_a_corrupted_unit_is_caught_on_the_transform_path(monkeypatch):
+    # a unit that Phi does not take to the sum of the block identities
+    # stops the instance, and no AM is counted
     real = clifford.unit
 
     def corrupted(s):
@@ -614,18 +553,18 @@ def test_a_corrupted_unit_is_caught_on_the_transform_path(monkeypatch):
     monkeypatch.setattr(clifford, "unit", corrupted)
     inst = gap_instances()[-1]
     g = trusted_build(inst.skeleton, inst.groups, inst.homs)
-    with pytest.raises(NotUnitalError, match=f"s >= {inst.skeleton.minimum} sums to 2"):
-        g.layout.unit
-    with pytest.raises(NotUnitalError):
+    with pytest.raises(DiagonalSolveError, match="'kind': 'moment'"):
         unit_and_diagonal(g)
+    with pytest.raises(DiagonalSolveError):
+        gap_search()
 
 
 def test_a_transform_reject_is_never_accepted_silently(monkeypatch):
     # should the transform ever reject what the table checks accept, the
     # two certificates disagree, and no AM is counted
     g = make_g(3)
-    monkeypatch.setattr(clifford, "_transform_accepts", lambda g, d: False)
-    with pytest.raises(DiagonalSolveError):
+    monkeypatch.setattr(diagonal_mod, "_transform_accepts", lambda d: False)
+    with pytest.raises(RuntimeError, match="certificates disagree"):
         unit_and_diagonal(g)
 
 
@@ -654,16 +593,22 @@ def test_the_gap_path_builds_no_table(monkeypatch, capsys):
     doc = clifford_doc(inst.skeleton, inst.groups, inst.homs)
     assert cli.main(["clifford", doc]) == 0
     capsys.readouterr()
-    # verify reads the table of a Clifford base
+    # verify accepts a Clifford diagonal by the transform, with no table,
+    # and reads the table only on a reject, to name the witness
     rows = [[str(v) for v in row] for row in G2_MATRIX]
+    doc = json.dumps({"base": json.loads(G2_JSON), "diagonal": rows})
+    assert cli.main(["verify", doc]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True}
+    rows[0][0] = "0"
     doc = json.dumps({"base": json.loads(G2_JSON), "diagonal": rows})
     with pytest.raises(AssertionError, match="addition table"):
         cli.main(["verify", doc])
 
 
-# the digests of what the generating-set pass on the table certified, and
-# of what the table checks in build_clifford accepted; the blocks are
-# listed by skeleton element, bottom first, with the last of the hom
+# the digests of the clifford output when verify_diagonal certified on the
+# table, on a generating set, and build_clifford checked the table: the
+# transform, which now certifies alone, must print the same; the blocks
+# are listed by skeleton element, bottom first, with the last of the hom
 # systems when last_system is set and trivial homs otherwise
 @pytest.mark.parametrize("skeleton, orders, last_system, digest", [
     (flat_with_top(30), [[2]] * 32, False,

@@ -20,7 +20,7 @@ from semiam.moebius import diagonal_via_mobius
 from semiam.semilattice import Semilattice, flat, power_set, validate
 
 from conftest import make_six
-from oracles import zeta_identity_holds
+from oracles import first_failing_equation
 from test_semilattice import random_family_table
 
 
@@ -36,7 +36,7 @@ def test_engines_agree_on_random_families_up_to_128():
         d = diagonal_recursive(s)
         assert d == diagonal_via_mobius(s)
         assert verify_diagonal(d, u) == (True, None)
-        assert zeta_identity_holds(d)
+        assert first_failing_equation(d, u) == (True, None)
         am = d.am()
         assert am.denominator == 1
         assert am % 4 == 1
@@ -62,14 +62,19 @@ def test_solver_oracle_reads_a_semilattice_directly():
 
 
 def test_zeta_identity_rejects_any_changed_entry():
+    # verify_diagonal accepts a semilattice diagonal by the zeta identity
+    # Z^T D Z = I alone, Z[x][a] = [a <= x]
     for s in (make_six(), power_set(2), flat(3)):
-        d = diagonal_via_mobius(s)
-        assert zeta_identity_holds(d)
+        d, u = diagonal_via_mobius(s), unit(s)
+        assert verify_diagonal(d, u) == (True, None)
         for a in range(s.n):
             for b in range(s.n):
                 rows = [list(row) for row in d.rows]
                 rows[a][b] += 1
-                assert not zeta_identity_holds(DiagonalTensor(s, rows, d.den))
+                bad = DiagonalTensor(s, rows, d.den)
+                result = verify_diagonal(bad, u)
+                assert result[0] is False
+                assert result == first_failing_equation(bad, u)
 
 
 def test_clifford_engines_agree_on_random_block_systems():

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import SIX_COVERS, SIX_LABELS, make_broom, make_six, make_tree
 from oracles import are_isomorphic, relabel
-from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
     Semilattice,
     ValidationReport,
@@ -360,27 +359,6 @@ def test_from_hasse_matches_check_table_on_random_families():
             assert result.table == tuple(map(tuple, expected))
             accepted += 1
     assert accepted > 50 and rejected > 50
-
-
-def _meet_closure(s: Semilattice, gens) -> set:
-    closed = set(gens)
-    while True:
-        grown = closed | {s.table[a][b] for a in closed for b in closed}
-        if grown == closed:
-            return closed
-        closed = grown
-
-
-def test_generating_set_is_the_meet_irreducibles():
-    for size in range(1, 7):
-        for s in enumerate_semilattices(size):
-            gens = s.generating_set()
-            assert _meet_closure(s, gens) == set(range(s.n))
-            upper_covers = [sum(1 for a, _ in s.hasse if a == x) for x in gens]
-            assert all(c <= 1 for c in upper_covers)
-    for k in range(6):
-        # the full set and the k sets missing one point
-        assert len(power_set(k).generating_set()) == k + 1
 
 
 def test_from_hasse_rejects_antichain_and_cycle():

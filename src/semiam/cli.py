@@ -480,8 +480,28 @@ def _emit(payload: dict, command: str, fmt: str):
         print(_render_csv(payload, command))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# name -> (handler, reads an input, --method, --digits, further options
+# added after --format), in help order
+_COMMANDS = {
+    "validate": (cmd_validate, True, False, False, ()),
+    "diagonal": (cmd_diagonal, True, True, True, ()),
+    "am": (cmd_am, True, True, True, ()),
+    "unit": (cmd_unit, True, False, False, ()),
+    "moebius": (cmd_moebius, True, False, False, ()),
+    "product": (cmd_product, True, False, False, ()),
+    "clifford": (cmd_clifford, True, False, True, ()),
+    "spectrum": (cmd_spectrum, False, False, False, (
+        ("--max-size", {"type": int, "required": True}),)),
+    "gap-search": (cmd_gap_search, False, False, False, (
+        ("--skeleton-max-size", {"type": int, "default": 3}),
+        ("--max-cyclic-order", {"type": int, "default": 4}),
+        ("--limit", {"type": int, "default": 20000}))),
+    "verify": (cmd_verify, True, False, False, ()),
+}
+
+
+def _build_parser(commands=_COMMANDS, parser_class=argparse.ArgumentParser):
+    parser = parser_class(
         prog="semiam",
         description=(
             "Exact diagonals and amenability constants of finite semilattice"
@@ -489,8 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, needs_input=True, method=False, digits=False):
+    for name in commands:
+        func, needs_input, method, digits, options = _COMMANDS[name]
         p = sub.add_parser(name)
         if needs_input:
             p.add_argument(
@@ -506,28 +526,38 @@ def _build_parser() -> argparse.ArgumentParser:
         if digits:
             p.add_argument("--digits", type=int, default=6)
         p.add_argument("--format", choices=["json", "table", "csv"], default="json")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    add("validate", cmd_validate)
-    add("diagonal", cmd_diagonal, method=True, digits=True)
-    add("am", cmd_am, method=True, digits=True)
-    add("unit", cmd_unit)
-    add("moebius", cmd_moebius)
-    add("product", cmd_product)
-    add("clifford", cmd_clifford, digits=True)
-    spec = add("spectrum", cmd_spectrum, needs_input=False)
-    spec.add_argument("--max-size", type=int, required=True)
-    gap = add("gap-search", cmd_gap_search, needs_input=False)
-    gap.add_argument("--skeleton-max-size", type=int, default=3)
-    gap.add_argument("--max-cyclic-order", type=int, default=4)
-    gap.add_argument("--limit", type=int, default=20000)
-    add("verify", cmd_verify)
     return parser
 
 
+class _ParseFailed(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser of the one subcommand argv names: any usage error goes
+    back, unprinted, to the full parser, which reports it."""
+
+    def error(self, message):
+        raise _ParseFailed(message)
+
+
+def _parse_args(argv):
+    """The full parser's namespace, output and exit for argv, building
+    only the named subcommand's parser when argv starts with a name."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv[:1], _OneCommandParser).parse_args(argv)
+        except _ParseFailed:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         try:
             digits = getattr(args, "digits", 0)

@@ -15,9 +15,9 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 
-from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
+from .diagonal import DiagonalTensor, first_unit_failure, lift_vector, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
-from .moebius import mobius_table, outer_product_sum
+from .moebius import mobius_table
 from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 
@@ -177,8 +177,9 @@ class _Layout:
     groups derives without reading its homs: the block offsets, which are
     the ids of the block identities, and, when they are asked for, block_of
     and member_of, the block addition tables with the offsets folded in,
-    the inverses, the offset Moebius supports, the lifted unit, its image
-    under the transform and the transform targets."""
+    the inverses, the offset Moebius supports, the lifted unit, Phi of it,
+    which no hom changes, the sum of the block identities that Phi of the
+    unit must be, and the transform targets."""
 
     def __init__(self, skeleton: Semilattice, groups):
         self.skeleton = skeleton
@@ -231,6 +232,19 @@ class _Layout:
         coeffs = [0] * self.n
         for s, c in enumerate(unit(self.skeleton)):
             coeffs[self.offset[s]] = c
+        return tuple(coeffs)
+
+    @cached_property
+    def phi_unit(self) -> tuple:
+        """Phi of self.unit as computed, for verify_diagonal to compare
+        with unit_image, whatever the homs: a hom sends the identity to the
+        identity, so Phi(delta_{1_e}) is the sum of delta_{1_f} over f <= e,
+        and Phi of a vector on the block identities holds, at each 1_f, its
+        sum over the 1_e with e >= f, and 0 elsewhere."""
+        coeffs = [0] * self.n
+        u, offset, above = self.unit, self.offset, self.skeleton.strictly_above
+        for f, start in enumerate(offset):
+            coeffs[start] = u[start] + sum(u[offset[e]] for e in above[f])
         return tuple(coeffs)
 
     @cached_property
@@ -344,6 +358,14 @@ class CliffordSemigroup:
                 preimages[target + y].append(source + x)
         return preimages
 
+    def lift(self, u) -> tuple:
+        """Phi(u) for verify_diagonal: the layout's unit, which lives on
+        the block identities, is lifted once per layout, any other u
+        through the preimages."""
+        if u is self.layout.unit:
+            return self.layout.phi_unit
+        return lift_vector(u, self.preimages)
+
     @property
     def unit_image(self) -> tuple:
         return self.layout.unit_image
@@ -387,19 +409,41 @@ def _intransitive(homs: dict, triples):
             != homs[(r, t)].gen_indices)
 
 
-def hom_systems(skeleton: Semilattice, groups):
+def hom_systems(skeleton: Semilattice, groups, maps=None):
     """Every transitive hom system over the skeleton, as {(s, t):
-    gen_images} for all strict pairs t < s.
+    ConnectingHom} for all strict pairs t < s.
 
     Each cover pair takes a free choice from hom_choices; each longer pair
     (s, t) is the composite through the first lower cover r of s above t.  A
     system is kept when it passes the transitivity check of build_clifford
     on every cover triple but these (s, r, t), which hold by construction.
+
+    The systems share one ConnectingHom per distinct map: maps holds it
+    under (source, target, gen_indices), and the list of every map source
+    -> target under (source, target).  Calls over the same group objects
+    that pass one maps dict share their maps too, so a caller that keeps
+    every system holds each map, and its image tuple, once.
     """
+    if maps is None:
+        maps = {}
+
+    def the_map(source, target, indices):
+        key = (source, target, indices)
+        hom = maps.get(key)
+        if hom is None:
+            hom = maps[key] = ConnectingHom(source, target, map(target.element, indices))
+            hom.gen_indices = indices
+        return hom
+
+    def choices(source, target):
+        key = (source, target)
+        if key not in maps:
+            maps[key] = [the_map(source, target, tuple(map(target.index, imgs)))
+                         for imgs in hom_choices(source, target)]
+        return maps[key]
+
     cover_pairs = [(b, a) for a, b in skeleton.hasse]  # hom source above
-    choice_lists = [[ConnectingHom(groups[s], groups[t], imgs)
-                     for imgs in hom_choices(groups[s], groups[t])]
-                    for s, t in cover_pairs]
+    choice_lists = [choices(groups[s], groups[t]) for s, t in cover_pairs]
     # composites in canonical order, lowest level first, so that (r, t) is
     # set before the composite (s, t) through the lower cover r needs it
     composites = []
@@ -413,9 +457,10 @@ def hom_systems(skeleton: Semilattice, groups):
     for combo in product(*choice_lists):
         homs = dict(zip(cover_pairs, combo))
         for s, r, t in composites:
-            homs[(s, t)] = ConnectingHom.compose(homs[(s, r)], homs[(r, t)])
+            homs[(s, t)] = the_map(groups[s], groups[t],
+                                   _composite_indices(homs[(s, r)], homs[(r, t)]))
         if next(_intransitive(homs, checks), None) is None:
-            yield {pair: hom.gen_images for pair, hom in homs.items()}
+            yield homs
 
 
 def build_clifford(skeleton: Semilattice, groups, homs=None):
@@ -493,21 +538,28 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
     The copy of x in block G_e is x' = sum over f <= e of
     mu(f, e) delta_{phi_{e,f}(x)}, with mu the skeleton's Moebius function,
     and D = sum over e of |G_e|^-1 sum over x in G_e of x' (x) (x^-1)'.
-    L*D is accumulated in ints, L = lcm |G_e|, by the outer-product sum
-    that diagonal_via_mobius runs with trivial blocks.
+    L*D is accumulated in int rows, L = lcm |G_e|: each pair f, h <= e in
+    the Moebius support of e adds L/|G_e| * mu(f, e) * mu(h, e) at
+    (phi_{e,f}(x), phi_{e,h}(-x)) for every x in G_e.
     """
     layout = g.layout
     den = lcm(*(group.order for group in g.groups))
-    terms = []
-    for e, (group, support) in enumerate(zip(g.groups, layout.supports)):
-        pushes = [(g._images[(e, f)], offset, m) for f, offset, m in support]
-        # lifted[x]: the support of x' as (element id, coefficient) pairs
-        lifted = [[(offset + push[x], m) for push, offset, m in pushes]
-                  for x in range(group.order)]
+    rows = [[0] * g.n for _ in range(g.n)]
+    for e, (group, support, inverses) in enumerate(
+            zip(g.groups, layout.supports, layout.inverses)):
         weight = den // group.order
-        terms += [(weight, lifted[x], lifted[y])
-                  for x, y in enumerate(layout.inverses[e])]
-    return DiagonalTensor(g, outer_product_sum(g.n, terms), den)
+        # per f: the ids of phi_{e,f}(x) and of phi_{e,f}(-x), by x
+        pushes = []
+        for f, offset, m in support:
+            ids = [offset + y for y in g._images[(e, f)]]
+            pushes.append((ids, [ids[y] for y in inverses], m))
+        for left, _, m in pushes:
+            wm = weight * m
+            for _, right, mh in pushes:
+                c = wm * mh
+                for a, b in zip(left, right):
+                    rows[a][b] += c
+    return DiagonalTensor(g, rows, den)
 
 
 def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
@@ -528,23 +580,16 @@ def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
 def certified_ams(instances):
     """Yield the AM of each instance from unit_and_diagonal, checking
     nothing: an instance has a skeleton, groups and homs, {(s, t):
-    gen_images} of a valid transitive system, as gap_instances lists them.
-    A run of instances over one skeleton and groups tuple shares a layout
-    and one ConnectingHom per distinct map, both dropped when the run ends,
-    so a search over large groups, whose maps seldom repeat, never holds
-    every image tuple it built.
+    ConnectingHom} of a valid transitive system, as hom_systems lists them.
+    The homs are used as they come, so a map the listing shares is built,
+    and its image tuple computed, once; a run of instances over one
+    skeleton and groups tuple shares a layout, dropped when the run ends.
     """
     layout = None
     for inst in instances:
         if layout is None or (inst.skeleton, inst.groups) != (layout.skeleton, layout.groups):
-            layout, maps = _Layout(inst.skeleton, inst.groups), {}
-        homs = {}
-        for (s, t), gen_images in inst.homs.items():
-            key = (inst.groups[s], inst.groups[t], gen_images)
-            if key not in maps:
-                maps[key] = ConnectingHom(*key)
-            homs[(s, t)] = maps[key]
-        yield unit_and_diagonal(CliffordSemigroup(layout, homs))[1].am()
+            layout = _Layout(inst.skeleton, inst.groups)
+        yield unit_and_diagonal(CliffordSemigroup(layout, inst.homs))[1].am()
 
 
 def diagonal_solve(base) -> DiagonalTensor:

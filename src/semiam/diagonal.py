@@ -72,7 +72,13 @@ class DiagonalTensor:
             rows = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
                          for row in values)
             den *= scale
-        common = gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
+        common = den
+        if den > 1:
+            # row by row: most Clifford diagonals reach 1 on their first row
+            for row in rows:
+                common = gcd(common, *row)
+                if common == 1:
+                    break
         if common > 1:
             rows = tuple(tuple(v // common for v in row) for row in rows)
             den //= common
@@ -156,7 +162,9 @@ def verify_diagonal(d: DiagonalTensor, u):
     So u is the unit exactly when Phi(u) is the sum of the block
     identities, and D is the diagonal exactly when (Phi (x) Phi)(D) = T,
     the diagonal of that sum (see _transform_accepts).  The base supplies
-    preimages, unit_image and transform_target(den).
+    preimages, unit_image and transform_target(den), and may supply
+    lift(u), Phi(u), when it can lift some u more cheaply than through
+    the preimages.
 
     A reject walks the table to name the first failing equation: m(D) = u,
     then delta_q . D = D . delta_q for every basis element q, compared in
@@ -165,7 +173,8 @@ def verify_diagonal(d: DiagonalTensor, u):
     the first a at which Phi(u) is wrong.
     """
     base = d.base
-    lifted_u = tuple([sum(map(u.__getitem__, xs)) for xs in base.preimages])
+    lift = getattr(base, "lift", None)
+    lifted_u = lift(u) if lift is not None else lift_vector(u, base.preimages)
     if lifted_u == base.unit_image and _transform_accepts(d):
         return True, None
     moment = [0] * base.n
@@ -195,6 +204,11 @@ def verify_diagonal(d: DiagonalTensor, u):
     # transform accepts: never accept what only the table passes
     raise RuntimeError("the two certificates disagree: the transform "
                        "rejects a central tensor whose moment is the unit")
+
+
+def lift_vector(u, preimages) -> tuple:
+    """Phi(u): entry a is the sum of u[x] over x in preimages[a]."""
+    return tuple([sum(map(u.__getitem__, xs)) for xs in preimages])
 
 
 def _lift(vectors, preimages) -> list:

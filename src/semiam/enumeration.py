@@ -189,8 +189,9 @@ def spectrum(max_size: int) -> SpectrumReport:
 
 class GapInstance:
     """One search instance: a skeleton, one cyclic group per element, and
-    homs[(s, t)] = gen_images for every strict pair t < s.  gap_search sets
-    am once it is solved."""
+    homs[(s, t)], the ConnectingHom for every strict pair t < s, as
+    hom_systems lists and shares them.  gap_search sets am once it is
+    solved."""
 
     __slots__ = ("skeleton", "groups", "homs", "am")
 
@@ -205,8 +206,8 @@ class GapInstance:
             "skeleton_table": [list(r) for r in self.skeleton.table],
             "orders": [g.order for g in self.groups],
             "homs": [
-                {"from": s, "to": t, "gen_images": [list(i) for i in imgs]}
-                for (s, t), imgs in sorted(self.homs.items())
+                {"from": s, "to": t, "gen_images": [list(i) for i in hom.gen_images]}
+                for (s, t), hom in sorted(self.homs.items())
             ],
             "size": sum(g.order for g in self.groups),
             "am": None if self.am is None else rat_str(self.am),
@@ -265,9 +266,11 @@ def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     """Every Clifford instance in the search family, in deterministic order.
 
     Z_k is built once, when the first order tuple holding k comes up, and
-    every instance over the same order tuple shares one groups tuple.
+    every instance over the same order tuple shares one groups tuple.  The
+    instances share one ConnectingHom per distinct map of the family.
     """
     cyclic = {}
+    maps = {}
     instances = []
     for size in range(1, skeleton_max_size + 1):
         for skel in enumerate_semilattices(size):
@@ -276,7 +279,7 @@ def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
                     if k not in cyclic:
                         cyclic[k] = FiniteAbelianGroup([k])
                 groups = tuple(map(cyclic.__getitem__, orders))
-                for homs in hom_systems(skel, groups):
+                for homs in hom_systems(skel, groups, maps):
                     instances.append(GapInstance(skel, groups, homs))
                     if len(instances) > instance_limit:
                         raise InstanceLimitError(instance_limit)
@@ -290,17 +293,19 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     The point: no commutative Clifford semigroup algebra in this family has
     an amenability constant strictly between 5 and 9.  hom_systems lists
     only valid transitive systems, so certified_ams solves the instances
-    without the checks of build_clifford, and certifies each unit and
-    diagonal before its constant is counted.
+    on the listed homs, without the checks of build_clifford, and
+    certifies each unit and diagonal before its constant is counted.  The
+    gap is tested once per distinct constant, and the instances are
+    walked for violations only when some constant falls in it.
     """
     instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
     counts: dict = {}
-    violations = []
     for inst, am in zip(instances, certified_ams(instances)):
         inst.am = am
         counts[am] = counts.get(am, 0) + 1
-        if 5 < am < 9:
-            violations.append(inst)
+    violations = []
+    if any(5 < am < 9 for am in counts):
+        violations = [inst for inst in instances if 5 < inst.am < 9]
     return GapReport(
         skeleton_max_size=skeleton_max_size,
         max_cyclic_order=max_cyclic_order,

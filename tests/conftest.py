@@ -19,6 +19,12 @@ def make_six() -> Semilattice:
     return s
 
 
+def images_of(homs) -> dict:
+    """{(s, t): gen_images} of a system of ConnectingHoms, as hom_systems
+    lists them: the form build_clifford takes."""
+    return {pair: hom.gen_images for pair, hom in homs.items()}
+
+
 def make_g(n: int) -> CliffordSemigroup:
     """Cyclic group of order n glued in at s3 of the six-element lattice."""
     six = make_six()

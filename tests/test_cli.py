@@ -794,3 +794,37 @@ def test_readme_examples_print_their_text(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == expected, argv
+
+
+PARSE_EXITS = [[], ["--help"], ["-h"], ["bogus"], ["gap-search", "--limit", "x"],
+               ["am", "--bogus", "{}"], ["am", "--method", "nope", "{}"], ["am"],
+               ["spectrum"], ["gap-search", "extra"], ["gap-search", "--skeleton-max-size"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS + [[name, "--help"] for name in cli._COMMANDS],
+                         ids=lambda argv: " ".join(argv) or "no argv")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    # main parses a named command with that command's parser alone; help,
+    # usage errors and their exit codes must be the full parser's
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as narrow:
+        cli.main(argv)
+    got = capsys.readouterr()
+    assert (got.out, got.err, narrow.value.code) == (expected.out, expected.err, full.value.code)
+    assert expected.out or expected.err
+
+
+def test_a_named_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    real = cli._build_parser
+
+    def recording(*args):
+        built.append(list(args[0]) if args else "every command")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    assert cli.main(["gap-search", "--skeleton-max-size", "2", "--max-cyclic-order", "2"]) == 0
+    assert built == [["gap-search"]]
+    capsys.readouterr()

@@ -463,7 +463,7 @@ def test_hom_systems_are_exactly_the_assignments_build_clifford_accepts():
                 accepted = {combo for combo in product(*choices) if isinstance(
                     build_clifford(skeleton, groups, dict(zip(pairs, combo))),
                     CliffordSemigroup)}
-                listed = [tuple(homs[pair] for pair in pairs)
+                listed = [tuple(homs[pair].gen_images for pair in pairs)
                           for homs in hom_systems(skeleton, groups)]
                 assert len(set(listed)) == len(listed)
                 assert set(listed) == accepted

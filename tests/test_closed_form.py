@@ -1,6 +1,7 @@
 """The closed-form Clifford diagonal and the integer verifier, checked
 against the linear solver and the full equation walk."""
 
+import functools
 import hashlib
 import json
 import random
@@ -10,13 +11,12 @@ from itertools import product
 
 import pytest
 
-from conftest import make_g, make_six
+from conftest import images_of, make_g, make_six
 from semiam import cli
 from semiam import diagonal as diagonal_mod
 from semiam import clifford
 from semiam.clifford import (
     CliffordSemigroup,
-    ConnectingHom,
     DiagonalSolveError,
     FiniteAbelianGroup,
     build_clifford,
@@ -29,6 +29,7 @@ from semiam.clifford import (
 from semiam.diagonal import (
     DiagonalTensor,
     diagonal_recursive,
+    lift_vector,
     unit,
     verify_diagonal,
 )
@@ -49,18 +50,15 @@ from test_clifford import G2_MATRIX
 
 
 def build_instance(inst) -> CliffordSemigroup:
-    g = build_clifford(inst.skeleton, inst.groups, inst.homs)
+    g = build_clifford(inst.skeleton, inst.groups, images_of(inst.homs))
     assert isinstance(g, CliffordSemigroup)
     return g
 
 
 def trusted_build(skeleton, groups, homs) -> CliffordSemigroup:
-    """The build certified_ams runs: a layout and one ConnectingHom per
-    pair, straight from hom_systems' images, with none of build_clifford's
-    checks."""
-    return CliffordSemigroup(clifford._Layout(skeleton, groups), {
-        (s, t): ConnectingHom(groups[s], groups[t], images)
-        for (s, t), images in homs.items()})
+    """The build certified_ams runs: a layout and the ConnectingHoms that
+    hom_systems lists, with none of build_clifford's checks."""
+    return CliffordSemigroup(clifford._Layout(skeleton, groups), homs)
 
 
 def per_cell_table(g: CliffordSemigroup) -> tuple:
@@ -142,7 +140,7 @@ def test_closed_form_matches_solver_on_non_cyclic_blocks(skeleton, block):
         groups = [FiniteAbelianGroup(k) for k in orders]
         systems = list(hom_systems(skeleton, groups))
         for homs in rng.sample(systems, min(3, len(systems))):
-            g = build_clifford(skeleton, groups, homs)
+            g = build_clifford(skeleton, groups, images_of(homs))
             assert isinstance(g, CliffordSemigroup)
             assert_table_is_the_clifford_semigroup(g)
             assert_engines_agree(g)
@@ -381,7 +379,7 @@ def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
         shared = build_instance(inst)
         skeleton = Semilattice(inst.skeleton.table)
         groups = tuple(FiniteAbelianGroup(g.cyclic_orders) for g in inst.groups)
-        fresh = build_clifford(skeleton, groups, inst.homs)
+        fresh = build_clifford(skeleton, groups, images_of(inst.homs))
         assert shared.table == fresh.table
         u, d = unit_and_diagonal(fresh)
         assert unit_and_diagonal(shared) == (u, d)
@@ -587,10 +585,11 @@ def test_the_gap_path_builds_no_table(monkeypatch, capsys):
     # user input is checked on its homs alone, so neither build_clifford
     # nor the clifford command builds a table either
     inst = gap_instances()[-1]
-    assert any(any(any(img) for img in images) for images in inst.homs.values())
-    assert isinstance(build_clifford(inst.skeleton, inst.groups, inst.homs),
+    images = images_of(inst.homs)
+    assert any(any(any(img) for img in imgs) for imgs in images.values())
+    assert isinstance(build_clifford(inst.skeleton, inst.groups, images),
                       CliffordSemigroup)
-    doc = clifford_doc(inst.skeleton, inst.groups, inst.homs)
+    doc = clifford_doc(inst.skeleton, inst.groups, images)
     assert cli.main(["clifford", doc]) == 0
     capsys.readouterr()
     # verify accepts a Clifford diagonal by the transform, with no table,
@@ -625,7 +624,33 @@ def test_clifford_output_is_pinned(capsys, skeleton, orders, last_system, digest
     groups = [FiniteAbelianGroup(k) for k in orders]
     homs = {}
     if last_system:
-        *_, homs = hom_systems(skeleton, groups)
+        *_, last = hom_systems(skeleton, groups)
+        homs = images_of(last)
     assert cli.main(["clifford", clifford_doc(skeleton, groups, homs)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_layout_unit_is_lifted_once_per_layout(monkeypatch):
+    # a hom sends block identities to block identities, so Phi of the
+    # layout's unit, which lives on them, needs no hom: it is the full lift
+    # through each instance's preimages, and any other u is lifted in full
+    for inst in gap_instances():
+        g = trusted_build(inst.skeleton, inst.groups, inst.homs)
+        u = g.layout.unit
+        assert g.lift(u) == lift_vector(u, g.preimages) == g.unit_image
+        wrong = (u[0] + 1,) + u[1:]
+        assert g.lift(wrong) == lift_vector(wrong, g.preimages) != g.unit_image
+    lifts = Counter()
+    real = clifford._Layout.phi_unit.func
+
+    def phi_unit(self):
+        lifts["layout"] += 1
+        return real(self)
+
+    counted = functools.cached_property(phi_unit)
+    counted.__set_name__(clifford._Layout, "phi_unit")
+    monkeypatch.setattr(clifford._Layout, "phi_unit", counted)
+    monkeypatch.setattr(clifford, "lift_vector", None)  # any full lift fails
+    assert gap_search().instance_count == 332
+    assert lifts["layout"] == 148

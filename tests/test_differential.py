@@ -19,7 +19,7 @@ from semiam.enumeration import enumerate_semilattices
 from semiam.moebius import diagonal_via_mobius
 from semiam.semilattice import Semilattice, flat, power_set, validate
 
-from conftest import make_six
+from conftest import images_of, make_six
 from oracles import first_failing_equation
 from test_semilattice import random_family_table
 
@@ -86,7 +86,7 @@ def test_clifford_engines_agree_on_random_block_systems():
         skel = rng.choice(skeletons)
         groups = [FiniteAbelianGroup(rng.choice(blocks)) for _ in range(skel.n)]
         homs = rng.choice(list(islice(hom_systems(skel, groups), 50)))
-        g = build_clifford(skel, groups, homs)
+        g = build_clifford(skel, groups, images_of(homs))
         assert isinstance(g, CliffordSemigroup)
         u, d = g.layout.unit, diagonal_closed_form(g)
         assert verify_diagonal(d, u) == (True, None)

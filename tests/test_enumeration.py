@@ -6,11 +6,13 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from conftest import images_of
 from oracles import are_isomorphic, enumerate_brute, enumerate_by_families, relabel
-from semiam import clifford
+from semiam import clifford, enumeration
 from semiam.clifford import FiniteAbelianGroup, hom_systems
 from semiam.enumeration import (
     InstanceLimitError,
@@ -198,44 +200,58 @@ def test_gap_search_derives_shared_data_once(monkeypatch):
     assert 0 < counts["layouts"] <= 148
 
 
-def test_gap_search_builds_each_map_once_per_groups_tuple(monkeypatch):
-    # the instances over one groups tuple share its maps: certified_ams
-    # builds one ConnectingHom per distinct (source, target, gen_images) of
-    # that tuple, each image tuple computed at most once
+def test_gap_search_solves_on_the_homs_its_listing_built(monkeypatch):
+    # hom_systems builds and checks one ConnectingHom per distinct map of
+    # the family, and the instances carry those objects: once gap_instances
+    # returns, no hom is built, and each image tuple is computed once
     made, computed = Counter(), Counter()
+    phase = ["listing"]
     real_images = clifford.ConnectingHom.images.func
 
     def images(self):
-        computed["images"] += 1
+        computed[phase[0]] += 1
         return real_images(self)
 
     counted = functools.cached_property(images)
     counted.__set_name__(clifford.ConnectingHom, "images")
     monkeypatch.setattr(clifford.ConnectingHom, "images", counted)
+    real_init = clifford.ConnectingHom.__init__
 
-    class Counted(clifford.ConnectingHom):
-        def __init__(self, *key):
-            made["homs"] += 1
-            super().__init__(*key)
+    def init(self, *args):
+        made[phase[0]] += 1
+        real_init(self, *args)
 
-    monkeypatch.setattr(clifford, "ConnectingHom", Counted)
-    maps = {(id(inst.groups), inst.groups[s], inst.groups[t], gen_images)
-            for inst in gap_instances()
-            for (s, t), gen_images in inst.homs.items()}
-    # hom_systems builds the listing's homs through the same name
-    listed = made["homs"]
-    made.clear()
-    computed.clear()
+    monkeypatch.setattr(clifford.ConnectingHom, "__init__", init)
+    listings = []
+    real_listing = enumeration.gap_instances
+
+    def listing(*args):
+        phase[0] = "listing"
+        listings.append(real_listing(*args))
+        phase[0] = "solving"
+        return listings[-1]
+
+    monkeypatch.setattr(enumeration, "gap_instances", listing)
     assert gap_search().instance_count == 332
-    assert made["homs"] - listed == len(maps) < 880
-    # the listing computes 96 image tuples for its transitivity checks
-    assert computed["images"] <= 96 + len(maps)
+    assert made["solving"] == 0
+    maps, runs = {}, set()
+    for inst in listings[0]:
+        runs.add((id(inst.skeleton), id(inst.groups)))
+        for hom in inst.homs.values():
+            key = (hom.source, hom.target, hom.gen_indices)
+            assert maps.setdefault(key, hom) is hom
+    assert len(runs) == 148
+    # the listing built 560 homs, and the search 411 more, one per distinct
+    # map of each run, before the instances carried the listing's homs
+    assert made["listing"] == len(maps) == 24
+    assert computed["listing"] + computed["solving"] == len(maps)
 
 
-def test_gap_search_keeps_only_the_maps_of_the_groups_it_solves(monkeypatch):
+def test_a_search_holds_one_hom_per_map_of_its_family(monkeypatch):
     # over a two-element chain each groups tuple (Z_a, Z_b) has its own
-    # gcd(a, b) maps, used by one instance each: a search that kept every
-    # hom it built would end up holding all of them
+    # gcd(a, b) maps, one instance each: while the search solves, the live
+    # homs are the listing's, one per map and no copy per instance, and
+    # none is left once the search returns
     live = weakref.WeakSet()
     real_init = clifford.ConnectingHom.__init__
 
@@ -247,12 +263,8 @@ def test_gap_search_keeps_only_the_maps_of_the_groups_it_solves(monkeypatch):
     held, groups_seen = [], []
 
     def solve(g):
-        # the first instance of each groups tuple: the last tuple's maps
-        # must be gone by now
         if not groups_seen or g.groups is not groups_seen[-1]:
             gc.collect()
-            pairs = {(a, b) for a in g.groups for b in g.groups}
-            assert {(hom.source, hom.target) for hom in live} <= pairs
             held.append(len(live))
             groups_seen.append(g.groups)
         return real_solve(g)
@@ -261,7 +273,9 @@ def test_gap_search_keeps_only_the_maps_of_the_groups_it_solves(monkeypatch):
     monkeypatch.setattr(clifford, "unit_and_diagonal", solve)
     gap_search(2, 8)
     assert len(held) == 8 + 8 * 8  # the order tuples of sizes 1 and 2
-    assert max(held) <= 8
+    assert set(held) == {sum(gcd(a, b) for a in range(1, 9) for b in range(1, 9))}
+    gc.collect()
+    assert len(live) == 0
     # nor do the groups the instances share keep map data of their own
     assert {frozenset(vars(g)) for groups in groups_seen for g in groups} == {
         frozenset({"cyclic_orders", "order"})}
@@ -282,7 +296,7 @@ def test_groups_shared_by_a_search_keep_no_map_data():
     # it built until it ends
     instances = gap_instances()
     for inst in instances:
-        built = clifford.build_clifford(inst.skeleton, inst.groups, inst.homs)
+        built = clifford.build_clifford(inst.skeleton, inst.groups, images_of(inst.homs))
         clifford.unit_and_diagonal(built)
     groups = {g for inst in instances for g in inst.groups}
     assert {frozenset(vars(g)) for g in groups} == {

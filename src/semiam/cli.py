@@ -14,7 +14,6 @@ reader closed early (semiam spectrum ... | head): nothing goes to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -423,6 +422,8 @@ def _render_table(payload: dict, command: str) -> str:
 
 
 def _render_csv(payload: dict, command: str) -> str:
+    import csv  # only --format csv reads it: kept off every other start
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command == "spectrum":

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 
-from .diagonal import DiagonalTensor, first_unit_failure, lift_vector, unit, verify_diagonal
+from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
 from .moebius import mobius_table
 from .semilattice import Semilattice, ValidationReport, Violation, _is_int
@@ -155,12 +155,6 @@ class ConnectingHom:
                 return f"generator {i} image order"
         return None
 
-    @classmethod
-    def compose(cls, first: "ConnectingHom", second: "ConnectingHom") -> "ConnectingHom":
-        """second after first (first.target must be second.source)."""
-        images = map(second.target.element, _composite_indices(first, second))
-        return cls(first.source, second.target, images)
-
 
 def _kills(a: int, digits, group: FiniteAbelianGroup) -> bool:
     """Whether a times the element of group with these digits is 0."""
@@ -177,9 +171,9 @@ class _Layout:
     groups derives without reading its homs: the block offsets, which are
     the ids of the block identities, and, when they are asked for, block_of
     and member_of, the block addition tables with the offsets folded in,
-    the inverses, the offset Moebius supports, the lifted unit, Phi of it,
-    which no hom changes, the sum of the block identities that Phi of the
-    unit must be, and the transform targets."""
+    the inverses, the offset Moebius supports, the lifted unit, the sum of
+    the block identities that Phi of the unit must be, and the transform
+    targets."""
 
     def __init__(self, skeleton: Semilattice, groups):
         self.skeleton = skeleton
@@ -232,19 +226,6 @@ class _Layout:
         coeffs = [0] * self.n
         for s, c in enumerate(unit(self.skeleton)):
             coeffs[self.offset[s]] = c
-        return tuple(coeffs)
-
-    @cached_property
-    def phi_unit(self) -> tuple:
-        """Phi of self.unit as computed, for verify_diagonal to compare
-        with unit_image, whatever the homs: a hom sends the identity to the
-        identity, so Phi(delta_{1_e}) is the sum of delta_{1_f} over f <= e,
-        and Phi of a vector on the block identities holds, at each 1_f, its
-        sum over the 1_e with e >= f, and 0 elsewhere."""
-        coeffs = [0] * self.n
-        u, offset, above = self.unit, self.offset, self.skeleton.strictly_above
-        for f, start in enumerate(offset):
-            coeffs[start] = u[start] + sum(u[offset[e]] for e in above[f])
         return tuple(coeffs)
 
     @cached_property
@@ -357,14 +338,6 @@ class CliffordSemigroup:
             for x, y in enumerate(images):
                 preimages[target + y].append(source + x)
         return preimages
-
-    def lift(self, u) -> tuple:
-        """Phi(u) for verify_diagonal: the layout's unit, which lives on
-        the block identities, is lifted once per layout, any other u
-        through the preimages."""
-        if u is self.layout.unit:
-            return self.layout.phi_unit
-        return lift_vector(u, self.preimages)
 
     @property
     def unit_image(self) -> tuple:

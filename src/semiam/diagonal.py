@@ -162,9 +162,8 @@ def verify_diagonal(d: DiagonalTensor, u):
     So u is the unit exactly when Phi(u) is the sum of the block
     identities, and D is the diagonal exactly when (Phi (x) Phi)(D) = T,
     the diagonal of that sum (see _transform_accepts).  The base supplies
-    preimages, unit_image and transform_target(den), and may supply
-    lift(u), Phi(u), when it can lift some u more cheaply than through
-    the preimages.
+    preimages, unit_image and transform_target(den), and table for a
+    reject.
 
     A reject walks the table to name the first failing equation: m(D) = u,
     then delta_q . D = D . delta_q for every basis element q, compared in
@@ -173,8 +172,7 @@ def verify_diagonal(d: DiagonalTensor, u):
     the first a at which Phi(u) is wrong.
     """
     base = d.base
-    lift = getattr(base, "lift", None)
-    lifted_u = lift(u) if lift is not None else lift_vector(u, base.preimages)
+    lifted_u = lift_vector(u, base.preimages)
     if lifted_u == base.unit_image and _transform_accepts(d):
         return True, None
     moment = [0] * base.n

@@ -45,23 +45,14 @@ def mobius_table(base: Semilattice) -> MoebiusTable:
     return base._mobius
 
 
-def outer_product_sum(n: int, terms) -> list:
-    """The n x n int matrix sum of w * a (x) b over the (w, a, b) in terms,
-    with a and b sparse vectors given as (index, coefficient) pairs."""
-    rows = [[0] * n for _ in range(n)]
-    for weight, left, right in terms:
-        for a, ca in left:
-            row = rows[a]
-            wa = weight * ca
-            for b, cb in right:
-                row[b] += wa * cb
-    return rows
-
-
 def diagonal_via_mobius(base: Semilattice) -> DiagonalTensor:
     """d(s,t) = sum over r of mu~(s,r) mu~(t,r): one outer product per
-    Moebius column."""
-    supports = ([(t, m) for t, m in column.items() if m]
-                for column in mobius_table(base).columns)
-    rows = outer_product_sum(base.n, ((1, c, c) for c in supports))
+    Moebius column, summed into int rows."""
+    rows = [[0] * base.n for _ in range(base.n)]
+    for column in mobius_table(base).columns:
+        support = [(t, m) for t, m in column.items() if m]
+        for a, ca in support:
+            row = rows[a]
+            for b, cb in support:
+                row[b] += ca * cb
     return DiagonalTensor(base, rows)

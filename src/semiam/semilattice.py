@@ -266,28 +266,34 @@ def from_hasse(n: int, covers, labels=None):
     for s, t in edges:
         down[t] |= 1 << s
     for k in range(n):
+        if down[k] == 1 << k:  # nothing below k: no down-set gains from it
+            continue
         for i in range(n):
             if down[i] >> k & 1:
                 down[i] |= down[k]
     for i in range(n):
-        for j in range(i + 1, n):
-            if down[j] >> i & 1 and down[i] >> j & 1:
+        # only a j > i in down(i) can close a cycle (i, j): walk those bits
+        above = down[i] >> (i + 1)
+        while above:
+            j = i + (above & -above).bit_length()
+            if down[j] >> i & 1:
                 violations.append(Violation("cycle", (i, j)))
                 break
+            above &= above - 1
     if violations:
         return ValidationReport(False, violations)
-    # the meet of s and t is the element whose down-set is their overlap
+    # the meet of s and t is the element whose down-set is their overlap;
+    # the table is built only once every pair has one
     by_down = {mask: m for m, mask in enumerate(down)}
-    table = [[0] * n for _ in range(n)]
     for s in range(n):
+        ds = down[s]
         for t in range(s, n):
-            best = by_down.get(down[s] & down[t])
-            if best is None:
+            if (ds & down[t]) not in by_down:
                 violations.append(Violation("meet", (s, t)))
                 break
-            table[s][t] = table[t][s] = best
     if violations:
         return ValidationReport(False, violations)
+    table = [[by_down[ds & dt] for dt in down] for ds in down]
     # a greatest lower bound for every pair makes the table a meet:
     # idempotent, commutative and associative with no further check
     return Semilattice(table, labels)

@@ -1,12 +1,7 @@
 import pytest
 
-from semiam import (
-    FiniteAbelianGroup,
-    CliffordSemigroup,
-    Semilattice,
-    build_clifford,
-    from_hasse,
-)
+from semiam.clifford import CliffordSemigroup, FiniteAbelianGroup, build_clifford
+from semiam.semilattice import Semilattice, from_hasse
 
 SIX_COVERS = [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 5), (4, 5)]
 SIX_LABELS = ["o", "s1", "s2", "s3", "s4", "1"]

@@ -96,6 +96,35 @@ def test_validate_bounds_the_report_on_a_large_antichain(capsys):
     assert payload["violations"][-1] == {"axiom": "meet", "witness": [798, 799]}
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_validate_rejects_a_large_antichain_without_building_its_table():
+    # the n x n table of 4000 elements alone took over 100 MB: from_hasse
+    # builds it only after the meet scan passes.  The child reports its own
+    # VmHWM, which, unlike ru_maxrss, starts afresh at exec.
+    script = (
+        "import sys\n"
+        "from semiam import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    sys.stderr.write(status.read())\n"
+        "sys.exit(code)\n"
+    )
+    import_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(import_root))
+    child = subprocess.run(
+        [sys.executable, "-c", script, "validate", '{"n": 4000, "hasse": []}'],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 2, child.stderr
+    violations = json.loads(child.stdout)["violations"]
+    assert len(violations) == 3999
+    assert violations[0] == {"axiom": "meet", "witness": [0, 1]}
+    assert violations[-1] == {"axiom": "meet", "witness": [3998, 3999]}
+    peak_kb = next(int(line.split()[1]) for line in child.stderr.splitlines()
+                   if line.startswith("VmHWM:"))
+    assert peak_kb < 40 * 1024
+
+
 def test_matrix_strings_read_the_ints_as_rat_str_reads_fractions():
     base = make_six()
     perm = base.canonical_perm

@@ -1,7 +1,6 @@
 """The closed-form Clifford diagonal and the integer verifier, checked
 against the linear solver and the full equation walk."""
 
-import functools
 import hashlib
 import json
 import random
@@ -29,7 +28,6 @@ from semiam.clifford import (
 from semiam.diagonal import (
     DiagonalTensor,
     diagonal_recursive,
-    lift_vector,
     unit,
     verify_diagonal,
 )
@@ -629,28 +627,3 @@ def test_clifford_output_is_pinned(capsys, skeleton, orders, last_system, digest
     assert cli.main(["clifford", clifford_doc(skeleton, groups, homs)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_the_layout_unit_is_lifted_once_per_layout(monkeypatch):
-    # a hom sends block identities to block identities, so Phi of the
-    # layout's unit, which lives on them, needs no hom: it is the full lift
-    # through each instance's preimages, and any other u is lifted in full
-    for inst in gap_instances():
-        g = trusted_build(inst.skeleton, inst.groups, inst.homs)
-        u = g.layout.unit
-        assert g.lift(u) == lift_vector(u, g.preimages) == g.unit_image
-        wrong = (u[0] + 1,) + u[1:]
-        assert g.lift(wrong) == lift_vector(wrong, g.preimages) != g.unit_image
-    lifts = Counter()
-    real = clifford._Layout.phi_unit.func
-
-    def phi_unit(self):
-        lifts["layout"] += 1
-        return real(self)
-
-    counted = functools.cached_property(phi_unit)
-    counted.__set_name__(clifford._Layout, "phi_unit")
-    monkeypatch.setattr(clifford._Layout, "phi_unit", counted)
-    monkeypatch.setattr(clifford, "lift_vector", None)  # any full lift fails
-    assert gap_search().instance_count == 332
-    assert lifts["layout"] == 148

@@ -11,8 +11,6 @@ cross-check mismatch, 4 file/IO failure, which includes a stdout that the
 reader closed early (semiam spectrum ... | head): nothing goes to stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import io
 import json

@@ -9,8 +9,6 @@ blocks trivial this is the skeleton itself, so everything proved for
 semilattices is the special case.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from itertools import product
 from math import lcm

@@ -8,8 +8,6 @@ commutative semigroups handled here it is unique, and its absolute entry
 sum is the amenability constant of the algebra.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
@@ -105,50 +103,38 @@ class DiagonalTensor:
 def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
     """Compute the diagonal by the corner-growing recursion.
 
-    Work in canonical order (levels ascending): the block of the maximal
-    elements is the identity, and each earlier element p fills its row and
-    column from already-known entries:
+    Work backward through canonical order (levels ascending), so every
+    element strictly above p is done before p.  Each p first fills its row
+    and column against the elements q after it, from entries already known:
 
       - p < q:   d(p,q) = -sum of d(s,q) over s > p, and symmetrically;
       - p, q incomparable:  d(p,q) = -sum of d(p,t) over t > q;
-      - finally d(p,p) = u(p) - sum of d(s,t) over pairs above (p,p)
-        with s*t = p.
+
+    and adds them to the moment m(D) at pq.  Then d(p,p) = u(p) - m(D)(p):
+    s*t = p forces s, t >= p, so every other entry of the moment at p is
+    written by then.  A maximal p has no such entry and gets d(p,p) = 1.
     """
-    n = s.n
-    perm = s.canonical_perm
-    pos = s.position
+    n, table, leq, above = s.n, s.table, s.leq, s.strictly_above
     u = unit(s)
-    top_level = s.height
-    n_max = sum(1 for x in range(n) if s.level[x] == top_level)
     d = [[0] * n for _ in range(n)]
-    for k in range(n - n_max, n):
-        d[k][k] = 1
-    above_pos = [
-        tuple(pos[t] for t in s.strictly_above[x]) for x in range(n)
-    ]
-    for c in range(n - n_max - 1, -1, -1):
+    moment = [0] * n
+    perm = s.canonical_perm
+    for c in range(n - 1, -1, -1):
         p = perm[c]
-        for j in range(n - 1, c, -1):
-            q = perm[j]
-            if s.leq[p][q]:
-                d[c][j] = -sum(d[k][j] for k in above_pos[p])
-                d[j][c] = -sum(d[j][k] for k in above_pos[p])
+        row_p, meets, up = d[p], table[p], leq[p]
+        for q in reversed(perm[c + 1:]):
+            row_q = d[q]
+            if up[q]:
+                pq = -sum(d[t][q] for t in above[p])
+                qp = -sum(map(row_q.__getitem__, above[p]))
             else:
                 # q is never below p here: lower level comes first
-                d[c][j] = -sum(d[c][k] for k in above_pos[q])
-                d[j][c] = -sum(d[k][c] for k in above_pos[q])
-        # s*t = p forces s >= p and t >= p, so positions from c onward
-        # cover every contributing pair
-        acc = u[p]
-        for i in range(c, n):
-            row = d[i]
-            meets = s.table[perm[i]]
-            for j in range(c, n):
-                if (i != c or j != c) and meets[perm[j]] == p:
-                    acc -= row[j]
-        d[c][c] = acc
-    raw = [[d[pos[g]][pos[h]] for h in range(n)] for g in range(n)]
-    return DiagonalTensor(s, raw)
+                pq = -sum(map(row_p.__getitem__, above[q]))
+                qp = -sum(d[t][p] for t in above[q])
+            row_p[q], row_q[p] = pq, qp
+            moment[meets[q]] += pq + qp
+        row_p[p] = u[p] - moment[p]
+    return DiagonalTensor(s, d)
 
 
 def verify_diagonal(d: DiagonalTensor, u):

@@ -7,8 +7,6 @@ tests/oracles.py: intersection-closed set families, and a brute-force
 table filter at the smallest sizes.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product as iproduct

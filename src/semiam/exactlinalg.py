@@ -7,8 +7,6 @@ right hand side, and reports unsolvable or underdetermined systems with a
 witness instead of guessing.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from fractions import Fraction

@@ -5,8 +5,6 @@ with mu~ the Moebius function of the order extended by zero to
 incomparable pairs.
 """
 
-from __future__ import annotations
-
 from .diagonal import DiagonalTensor
 from .semilattice import Semilattice
 

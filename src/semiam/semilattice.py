@@ -6,8 +6,6 @@ the ideal chain obtained by repeatedly stripping maximal elements, the level
 grading and a canonical element order are all derived from it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 from itertools import product as iproduct
@@ -175,10 +173,6 @@ class Semilattice:
         self.canonical_perm = tuple(
             sorted(range(n), key=lambda s: (level[s], s))
         )
-        pos = [0] * n
-        for k, s in enumerate(self.canonical_perm):
-            pos[s] = k
-        self.position = tuple(pos)
         # Hasse diagram: t covers s iff s < t with nothing strictly between
         covers = []
         for s in range(n):

@@ -91,7 +91,7 @@ def are_isomorphic(a: Semilattice, b: Semilattice):
     if sorted(inv_a) != sorted(inv_b):
         return False, None
     n = a.n
-    order = sorted(range(n), key=lambda x: a.position[x])
+    order = a.canonical_perm
     candidates = {x: [y for y in range(n) if inv_b[y] == inv_a[x]] for x in order}
     perm = [None] * n
     used = [False] * n

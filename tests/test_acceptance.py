@@ -186,6 +186,19 @@ def test_no_constant_strictly_between_five_and_nine():
     assert elapsed < 60.0, f"gap search took {elapsed:.1f}s"
 
 
+def test_claim_three_reduction_every_skeleton_of_three_or_more_has_am_at_least_nine():
+    # The README's reduction of claim 3: AM(S) >= AM(Y) for the skeleton
+    # Y, |Y| <= 2 gives 1 or 5, and for |Y| >= 4, 2|Y| - 1 >= 7 and
+    # AM = 1 (mod 4) force AM(Y) >= 9.  Here every class with
+    # 3 <= n <= 7 is checked directly, the 222 of n = 7 among them.
+    counts = []
+    for size in range(3, 8):
+        classes = enumerate_semilattices(size)
+        counts.append(len(classes))
+        assert min(diagonal_recursive(s).am() for s in classes) >= 9
+    assert counts == [2, 5, 15, 53, 222]
+
+
 def test_adding_a_maximal_element_adds_one_rank_one_term_and_raises_am():
     # S minus a maximal element m is a down-closed subsemilattice whose
     # Moebius columns are those of S, so D(S) - (D(S minus m) + 0) is

@@ -24,9 +24,9 @@ from oracles import first_failing_equation
 from test_semilattice import random_family_table
 
 
-def test_engines_agree_on_random_families_up_to_128():
+def test_engines_agree_on_random_families_up_to_256():
     rng = random.Random(31)
-    sizes = [7, 8, 9, 10] + [16 + (112 * k) // 19 for k in range(20)]
+    sizes = [7, 8, 9, 10] + [16 + (112 * k) // 19 for k in range(20)] + [192, 256]
     for n in sizes:
         s = validate(random_family_table(rng, n))
         assert isinstance(s, Semilattice)
@@ -36,7 +36,8 @@ def test_engines_agree_on_random_families_up_to_128():
         d = diagonal_recursive(s)
         assert d == diagonal_via_mobius(s)
         assert verify_diagonal(d, u) == (True, None)
-        assert first_failing_equation(d, u) == (True, None)
+        if n <= 128:
+            assert first_failing_equation(d, u) == (True, None)
         am = d.am()
         assert am.denominator == 1
         assert am % 4 == 1

@@ -11,21 +11,19 @@ semilattices is the special case.
 
 from functools import cached_property
 from itertools import product
-from math import lcm
 
 from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
-from .moebius import mobius_table
+from .moebius import closed_form, mobius_table
 from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 
 # The most elements, sum |G_e|, that from_json_dict accepts.  Diagonal
-# and certificate work grow as n^2 to n^3; at 512 the slowest shape found,
-# a chain of trivial blocks given as a table, runs `semiam clifford` in
-# about 11 s on a shared 2-CPU 2.0 GHz Xeon under Python 3.11, most of it
-# in the skeleton's cover scan (Semilattice._derive) and MoebiusTable.
-# flat_with_top(510) takes 0.5-0.9 s, most of it in reading the skeleton
-# table (0.55 of 1.41 profiled seconds) and in writing the JSON.
+# and certificate work grow as n^2 to n^3: at 510 elements `semiam clifford`
+# takes 5.7-6.4 s on the slowest shape found, a chain of trivial blocks given
+# as a table, and 0.45-0.6 s on flat_with_top(510), three runs each on a
+# shared 2-CPU Xeon under Python 3.11.7.  The chain's time is mostly the
+# skeleton's cover scan (Semilattice._derive) and MoebiusTable.
 MAX_ELEMENTS = 512
 
 
@@ -169,9 +167,8 @@ class _Layout:
     groups derives without reading its homs: the block offsets, which are
     the ids of the block identities, and, when they are asked for, block_of
     and member_of, the block addition tables with the offsets folded in,
-    the inverses, the offset Moebius supports, the lifted unit, the sum of
-    the block identities that Phi of the unit must be, and the transform
-    targets."""
+    the inverses, the lifted unit, the sum of the block identities that
+    Phi of the unit must be, and the transform targets."""
 
     def __init__(self, skeleton: Semilattice, groups):
         self.skeleton = skeleton
@@ -208,14 +205,6 @@ class _Layout:
     def inverses(self) -> tuple:
         """inverses[e][x] is the index of -x in block e."""
         return tuple(g.inverses() for g in self.groups)
-
-    @cached_property
-    def supports(self) -> tuple:
-        """supports[e]: (f, offset of f, mu(f, e)) for every f <= e with
-        mu(f, e) != 0."""
-        columns = mobius_table(self.skeleton).columns
-        return tuple(tuple((f, self.offset[f], m) for f, m in column.items() if m)
-                     for column in columns)
 
     @cached_property
     def unit(self) -> tuple:
@@ -503,34 +492,21 @@ def unit_solve(base) -> tuple:
 
 
 def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
-    """The diagonal from the Hewitt-Zuckerman decomposition of the algebra
-    into the direct sum of the group algebras of the blocks.
-
-    The copy of x in block G_e is x' = sum over f <= e of
-    mu(f, e) delta_{phi_{e,f}(x)}, with mu the skeleton's Moebius function,
-    and D = sum over e of |G_e|^-1 sum over x in G_e of x' (x) (x^-1)'.
-    L*D is accumulated in int rows, L = lcm |G_e|: each pair f, h <= e in
-    the Moebius support of e adds L/|G_e| * mu(f, e) * mu(h, e) at
-    (phi_{e,f}(x), phi_{e,h}(-x)) for every x in G_e.
-    """
-    layout = g.layout
-    den = lcm(*(group.order for group in g.groups))
-    rows = [[0] * g.n for _ in range(g.n)]
-    for e, (group, support, inverses) in enumerate(
-            zip(g.groups, layout.supports, layout.inverses)):
-        weight = den // group.order
-        # per f: the ids of phi_{e,f}(x) and of phi_{e,f}(-x), by x
-        pushes = []
-        for f, offset, m in support:
-            ids = [offset + y for y in g._images[(e, f)]]
-            pushes.append((ids, [ids[y] for y in inverses], m))
-        for left, _, m in pushes:
-            wm = weight * m
-            for _, right, mh in pushes:
-                c = wm * mh
-                for a, b in zip(left, right):
-                    rows[a][b] += c
-    return DiagonalTensor(g, rows, den)
+    """The closed form over the Hewitt-Zuckerman decomposition of the
+    algebra into the block group algebras: in each block, the copy of every
+    x paired with the copy of -x."""
+    columns = mobius_table(g.skeleton).columns
+    terms = []
+    for e, (group, inverses) in enumerate(zip(g.groups, g.layout.inverses)):
+        # copies[x]: (id of phi_{e,f}(x), mu(f, e)) over the f with mu(f, e) != 0
+        copies = [[] for _ in inverses]
+        for f, m in columns[e].items():
+            if m:
+                start = g.offset[f]
+                for copy, y in zip(copies, g._images[(e, f)]):
+                    copy.append((start + y, m))
+        terms += [(group.order, copy, copies[y]) for copy, y in zip(copies, inverses)]
+    return closed_form(g, terms)
 
 
 def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
@@ -660,7 +636,9 @@ def from_json_dict(obj):
     {"from": s, "to": t, "gen_images": [[...], ...]}, at most one per
     (s, t) pair: a repeated pair is a "hom_pair" violation.  More than
     MAX_ELEMENTS elements in all is a "size" violation at the block that
-    passes the bound, found before any group is built.
+    passes the bound, found before any group is built.  Two elements
+    labelled alike, such as a trivial block labelled "e[b]" and the
+    identity of a block b, are a "labels" violation naming both ids.
     """
     from .semilattice import from_json_dict as skel_from_json
 
@@ -706,4 +684,10 @@ def from_json_dict(obj):
         if pair in homs:  # given twice: neither entry may silently win
             return ValidationReport(False, [Violation("hom_pair", pair)])
         homs[pair] = entry["gen_images"]
-    return build_clifford(skel, groups, homs)
+    g = build_clifford(skel, groups, homs)
+    if isinstance(g, CliffordSemigroup):
+        first = {}
+        for x, label in enumerate(g.labels):
+            if first.setdefault(label, x) != x:
+                return ValidationReport(False, [Violation("labels", (first[label], x))])
+    return g

@@ -1,9 +1,13 @@
-"""Moebius inversion on the semilattice order, and the diagonal through it.
+"""Moebius inversion on the semilattice order, and the one closed form
+for a diagonal, over the orthogonal idempotent basis it gives.
 
-The diagonal has the closed form d(s,t) = sum over r of mu~(s,r) mu~(t,r),
-with mu~ the Moebius function of the order extended by zero to
-incomparable pairs.
+The copy of x in block G_e is c_x = sum over f <= e of
+mu(f, e) delta_{phi_{e,f}(x)}, and D = sum over e of |G_e|^-1 sum over
+x in G_e of c_x (x) c_{-x} (Hewitt and Zuckerman, Trans. AMS 83, 1956).
+On a semilattice every block is trivial.
 """
+
+from math import lcm
 
 from .diagonal import DiagonalTensor
 from .semilattice import Semilattice
@@ -43,14 +47,25 @@ def mobius_table(base: Semilattice) -> MoebiusTable:
     return base._mobius
 
 
-def diagonal_via_mobius(base: Semilattice) -> DiagonalTensor:
-    """d(s,t) = sum over r of mu~(s,r) mu~(t,r): one outer product per
-    Moebius column, summed into int rows."""
+def closed_form(base, terms) -> DiagonalTensor:
+    """den * D in int rows, den = lcm of the k, from terms, a list of
+    (k, c, c'): one per element x of a block of order k, with c and c' the
+    copies of x and of -x as sparse (id, coefficient) lists over base."""
+    den = lcm(*{k for k, _, _ in terms})
     rows = [[0] * base.n for _ in range(base.n)]
-    for column in mobius_table(base).columns:
-        support = [(t, m) for t, m in column.items() if m]
-        for a, ca in support:
+    for k, left, right in terms:
+        weight = den // k
+        for a, ca in left:
             row = rows[a]
-            for b, cb in support:
-                row[b] += ca * cb
-    return DiagonalTensor(base, rows)
+            wa = weight * ca
+            for b, cb in right:
+                row[b] += wa * cb
+    return DiagonalTensor(base, rows, den)
+
+
+def diagonal_via_mobius(base: Semilattice) -> DiagonalTensor:
+    """The closed form with one trivial block per element: one term
+    (1, c, c) per Moebius column c."""
+    copies = ([(t, m) for t, m in column.items() if m]
+              for column in mobius_table(base).columns)
+    return closed_form(base, [(1, c, c) for c in copies])

@@ -444,6 +444,23 @@ def test_a_hom_pair_given_twice_exits_2(capsys, command):
     assert err == ""
 
 
+# a trivial bottom block whose skeleton label is the printed label of an
+# element of the Z2 block above it
+@pytest.mark.parametrize("labels, witness", [
+    (["e[b]", "b"], [0, 1]), (["b[1]", "b"], [0, 2]),
+], ids=["identity", "element"])
+@pytest.mark.parametrize("command", ["clifford", "verify"])
+def test_clifford_labels_that_print_alike_exit_2(capsys, command, labels, witness):
+    doc = {"skeleton": {"table": [[0, 0], [0, 1]], "labels": labels},
+           "groups": [[1], [2]]}
+    if command == "verify":
+        doc = {"base": doc, "diagonal": [[0] * 3 for _ in range(3)]}
+    code, payload, err = run_json(capsys, command, json.dumps(doc))
+    assert code == 2
+    assert payload["violations"] == [{"axiom": "labels", "witness": witness}]
+    assert err == ""
+
+
 def test_malformed_homs_list_exits_2(capsys):
     # falsy values too: only a missing key or null means "no homs"
     for homs in (5, 7, {"a": 1}, {}, 0, False, ""):

@@ -167,8 +167,8 @@ class _Layout:
     groups derives without reading its homs: the block offsets, which are
     the ids of the block identities, and, when they are asked for, block_of
     and member_of, the block addition tables with the offsets folded in,
-    the inverses, the lifted unit, the sum of the block identities that
-    Phi of the unit must be, and the transform targets."""
+    the inverses, the lifted unit, and the blocks that verify_diagonal
+    certifies against."""
 
     def __init__(self, skeleton: Semilattice, groups):
         self.skeleton = skeleton
@@ -182,7 +182,6 @@ class _Layout:
         self.n = n
         self.canonical_perm = tuple(range(n))
         self.offset = tuple(offset)
-        self._targets = {}
 
     @cached_property
     def block_of(self) -> tuple:
@@ -216,31 +215,11 @@ class _Layout:
         return tuple(coeffs)
 
     @cached_property
-    def unit_image(self) -> tuple:
-        """Phi of the unit: the sum of the block identities."""
-        coeffs = [0] * self.n
-        for start in self.offset:
-            coeffs[start] = 1
-        return tuple(coeffs)
-
-    def target(self, den: int):
-        """den * T as int rows by element id, with T = sum over blocks f of
-        |G_f|^-1 sum over x in G_f of delta_x (x) delta_-x, the diagonal of
-        the direct sum of the block group algebras; None when some |G_f|
-        does not divide den.  Kept per den."""
-        if den not in self._targets:
-            rows = None
-            if all(den % group.order == 0 for group in self.groups):
-                rows = []
-                zero = [0] * self.n
-                for f in self.skeleton.canonical_perm:
-                    weight, start = den // self.groups[f].order, self.offset[f]
-                    for y in self.inverses[f]:
-                        row = zero.copy()
-                        row[start + y] = weight
-                        rows.append(tuple(row))
-            self._targets[den] = rows
-        return self._targets[den]
+    def blocks(self) -> tuple:
+        """(start id, order, inverses) for each block, in id order: what
+        verify_diagonal checks Phi of the unit and of the diagonal against."""
+        return tuple((self.offset[f], self.groups[f].order, self.inverses[f])
+                     for f in self.skeleton.canonical_perm)
 
 
 class CliffordSemigroup:
@@ -327,11 +306,8 @@ class CliffordSemigroup:
         return preimages
 
     @property
-    def unit_image(self) -> tuple:
-        return self.layout.unit_image
-
-    def transform_target(self, den: int):
-        return self.layout.target(den)
+    def blocks(self) -> tuple:
+        return self.layout.blocks
 
     def __repr__(self):
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"

@@ -9,9 +9,9 @@ sum is the amenability constant of the algebra.
 """
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, eq
 
 from .exactlinalg import rat, rat_str
 from .semilattice import Semilattice
@@ -148,8 +148,8 @@ def verify_diagonal(d: DiagonalTensor, u):
     So u is the unit exactly when Phi(u) is the sum of the block
     identities, and D is the diagonal exactly when (Phi (x) Phi)(D) = T,
     the diagonal of that sum (see _transform_accepts).  The base supplies
-    preimages, unit_image and transform_target(den), and table for a
-    reject.
+    preimages and blocks, each block as (start id, order, the inverse
+    index of each member) in id order, and table for a reject.
 
     A reject walks the table to name the first failing equation: m(D) = u,
     then delta_q . D = D . delta_q for every basis element q, compared in
@@ -159,7 +159,7 @@ def verify_diagonal(d: DiagonalTensor, u):
     """
     base = d.base
     lifted_u = lift_vector(u, base.preimages)
-    if lifted_u == base.unit_image and _transform_accepts(d):
+    if all(map(eq, lifted_u, _identities(base.blocks))) and _transform_accepts(d):
         return True, None
     moment = [0] * base.n
     for row, products in zip(d.rows, base.table):
@@ -180,7 +180,7 @@ def verify_diagonal(d: DiagonalTensor, u):
             g, h, lhs, rhs = found
             return False, {"kind": "centrality", "q": q, "pair": (g, h),
                            "lhs": lhs, "rhs": rhs}
-    for a, (lhs, rhs) in enumerate(zip(lifted_u, base.unit_image)):
+    for a, (lhs, rhs) in enumerate(zip(lifted_u, _identities(base.blocks))):
         if lhs != rhs:
             return False, {"kind": "unit", "element": a,
                            "lhs": Fraction(lhs), "rhs": Fraction(rhs)}
@@ -203,23 +203,43 @@ def _lift(vectors, preimages) -> list:
             for xs in preimages]
 
 
+def _identities(blocks):
+    """Phi of the unit, the sum of the block identities, entry by entry in
+    id order: 1 at each block's start and 0 at its other members."""
+    for _, order, _ in blocks:
+        yield 1
+        yield from repeat(0, order - 1)
+
+
 def _transform_accepts(d: DiagonalTensor) -> bool:
     """Whether (Phi (x) Phi)(D) = T, checked as Z^T (den D) Z = den T in
     ints: the rows of den*D are lifted, then the columns of the result.
+    T = sum over blocks f of |G_f|^-1 sum over x in G_f of delta_x (x)
+    delta_-x, so row a of den*T, for a in a block of order k, holds den/k
+    at -a and 0 elsewhere; it is integral only when every k divides den.
 
     On a semilattice, Z[x][a] = [a <= x] and T is the identity: the
     characters of l1(S) are x -> [a <= x], and the Gelfand transform takes
     the diagonal to the diagonal of C^n.  Z is invertible, so this holds
     for the diagonal and for no other tensor.
     """
-    target = d.base.transform_target(d.den)
-    if target is None:  # den * T is not integral, den * (Phi (x) Phi)(D) is
-        return False
-    preimages = d.base.preimages
+    den, blocks, preimages = d.den, d.base.blocks, d.base.preimages
+    if any(den % order for _, order, _ in blocks):
+        return False  # den * T is not integral, den * (Phi (x) Phi)(D) is
     rows = _lift(d.rows, preimages)
     # the lifted columns are the rows of the transpose of Z^T (den D) Z,
     # and den * T is symmetric
-    return _lift(tuple(zip(*rows)), preimages) == target
+    rows = _lift(tuple(zip(*rows)), preimages)
+    # weight >= 1, so a row with weight at -a has n - 1 zeros exactly when
+    # it is 0 everywhere else
+    zeros = d.n - 1
+    for start, order, inverses in blocks:
+        weight = den // order
+        for a, y in enumerate(inverses, start):
+            row = rows[a]
+            if row[start + y] != weight or row.count(0) != zeros:
+                return False
+    return True
 
 
 def _noncentral_pair(d: DiagonalTensor, columns, q: int):

@@ -194,20 +194,11 @@ class Semilattice:
         return tuple((a,) + above for a, above in enumerate(self.strictly_above))
 
     @property
-    def unit_image(self) -> tuple:
-        """The zeta transform of the unit: 1 at every element."""
-        return (1,) * self.n
-
-    def transform_target(self, den: int) -> list:
-        """den * I as int rows: the zeta transform of den * D for the
-        diagonal D."""
-        zero = [0] * self.n
-        rows = []
-        for a in range(self.n):
-            row = zero.copy()
-            row[a] = den
-            rows.append(tuple(row))
-        return rows
+    def blocks(self) -> tuple:
+        """One trivial block (a, 1, (0,)) per element a, in id order: the
+        start id, the order and the inverse index of each member that
+        verify_diagonal reads."""
+        return tuple((a, 1, (0,)) for a in range(self.n))
 
     def down_set(self, s: int) -> frozenset:
         return frozenset(t for t in range(self.n) if self.leq[t][s])

@@ -527,16 +527,20 @@ def test_a_unit_that_is_not_one_is_rejected():
 
 
 def test_a_denominator_that_no_block_order_divides_is_rejected():
-    # den * T is not integral for den = 1 over Z2 blocks: the zero tensor,
-    # whose den is 1, must not pass as (Phi (x) Phi)(0) = floor of den * T
+    # den * T is not integral when a block order does not divide den: over
+    # Z2 blocks, neither the zero tensor, whose den is 1, may pass as
+    # (Phi (x) Phi)(0) = floor(1/2) T, nor two thirds of the diagonal, whose
+    # den is 3, as 3 * (2/3) T = 1 = floor(3/2) at every (x, -x)
     g = build_clifford(chain(1), [FiniteAbelianGroup([2])] * 2, {})
     assert isinstance(g, CliffordSemigroup)
-    u = g.layout.unit
-    assert g.transform_target(1) is None
+    u, d = g.layout.unit, diagonal_closed_form(g)
     zero = DiagonalTensor(g, [[0] * g.n for _ in range(g.n)])
-    result = verify_diagonal(zero, u)
-    assert result == first_failing_equation(zero, u)
-    assert result[1]["kind"] == "moment"
+    two_thirds = DiagonalTensor(g, [[2 * v for v in row] for row in d.rows], 3 * d.den)
+    assert (zero.den, two_thirds.den) == (1, 3)
+    for tensor in (zero, two_thirds):
+        result = verify_diagonal(tensor, u)
+        assert result == first_failing_equation(tensor, u)
+        assert result[1]["kind"] == "moment"
 
 
 def test_a_corrupted_unit_is_caught_on_the_transform_path(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import SIX_COVERS, SIX_LABELS, make_broom, make_six, make_tree
 from oracles import are_isomorphic, relabel
+from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
     Semilattice,
     ValidationReport,
@@ -383,6 +384,60 @@ def test_canonical_prefixes_are_down_closed():
             prefix = set(s.canonical_perm[:k])
             for x in prefix:
                 assert all(y in prefix for y in s.strictly_below[x])
+
+
+def reference_order_data(table) -> dict:
+    """The order data of a meet table, read off its definitions: s <= t iff
+    st = s; t covers s iff s < t with nothing strictly between; the depth of
+    s is the length of the longest chain from s up to a maximal element, so
+    stripping the maximal elements k times leaves the s of depth >= k, and
+    the level of s is the height minus its depth."""
+    n = len(table)
+    above = [tuple(t for t in range(n) if t != s and table[s][t] == s) for s in range(n)]
+    below = [tuple(t for t in range(n) if t != s and table[s][t] == t) for s in range(n)]
+    depth = {}
+
+    def depth_of(s):
+        if s not in depth:
+            depth[s] = max((1 + depth_of(t) for t in above[s]), default=0)
+        return depth[s]
+
+    height = max(map(depth_of, range(n)))
+    level = tuple(height - depth_of(s) for s in range(n))
+    return {
+        "strictly_above": tuple(above),
+        "strictly_below": tuple(below),
+        "hasse": tuple((s, t) for s in range(n) for t in above[s]
+                       if not any(r in above[s] for r in below[t])),
+        "level": level,
+        "ideal_chain": tuple(frozenset(s for s in range(n) if depth_of(s) >= k)
+                             for k in range(height + 1)),
+        "canonical_perm": tuple(sorted(range(n), key=lambda s: (level[s], s))),
+        "minimum": next(m for m in range(n) if all(table[m][t] == m for t in range(n))),
+        "top": next((t for t in range(n) if all(table[t][s] == s for s in range(n))), None),
+    }
+
+
+def test_order_data_matches_its_definitions():
+    # every class up to n = 6 under seeded relabelings, and seeded
+    # intersection-closed families up to N = 64
+    rng = random.Random(31)
+    cases = []
+    for size in range(1, 7):
+        for s in enumerate_semilattices(size):
+            for _ in range(3):
+                perm = list(range(size))
+                rng.shuffle(perm)
+                cases.append(relabel(s, perm))
+    assert len(cases) == 3 * 77
+    for n in range(7, 65):
+        cases.append(Semilattice(random_family_table(rng, n)))
+    for s in cases:
+        expected = reference_order_data(s.table)
+        top = expected.pop("top")
+        assert {key: getattr(s, key) for key in expected} == expected
+        assert s.top() == top
+        assert s.height == len(s.ideal_chain) - 1
 
 
 def maximal(s, subset) -> frozenset:

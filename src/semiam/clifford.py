@@ -20,10 +20,10 @@ from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 # The most elements, sum |G_e|, that from_json_dict accepts.  Diagonal
 # and certificate work grow as n^2 to n^3: at 510 elements `semiam clifford`
-# takes 5.7-6.4 s on the slowest shape found, a chain of trivial blocks given
-# as a table, and 0.45-0.6 s on flat_with_top(510), three runs each on a
+# takes 4.4-4.7 s on the slowest shape found, a chain of trivial blocks given
+# as a table, and 0.43-0.51 s on flat_with_top(510), three runs each on a
 # shared 2-CPU Xeon under Python 3.11.7.  The chain's time is mostly the
-# skeleton's cover scan (Semilattice._derive) and MoebiusTable.
+# skeleton's MoebiusTable, which is cubic on a chain.
 MAX_ELEMENTS = 512
 
 

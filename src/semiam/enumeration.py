@@ -48,15 +48,10 @@ def canonical_table(s: Semilattice) -> tuple:
 
 def _down_closed_masks(s: Semilattice):
     """Nonempty down-closed subsets of s, as bitmasks."""
-    n = s.n
-    down_mask = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if s.leq[y][x]:
-                down_mask[x] |= 1 << y
+    n, down = s.n, s.down
     for mask in range(1, 1 << n):
         if all(
-            not (mask >> x & 1) or (down_mask[x] & mask) == down_mask[x]
+            not (mask >> x & 1) or (down[x] & mask) == down[x]
             for x in range(n)
         ):
             yield mask

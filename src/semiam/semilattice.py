@@ -13,6 +13,11 @@ from operator import itemgetter
 
 Violation = namedtuple("Violation", "axiom witness")
 
+# The most elements product() builds: power_set(10), the largest input
+# measured.  Two 40-chains (1600 elements, about 1 KB of covers) would
+# otherwise print a 29 MB table, and two 100-chains build 10^8 entries.
+MAX_PRODUCT = 1024
+
 
 class ValidationReport(namedtuple("ValidationReport", "ok violations")):
     __slots__ = ()
@@ -69,6 +74,22 @@ def check_table(table) -> ValidationReport:
         Violation("associative", _first_nonassociative(table))])
 
 
+def _order_masks(table) -> tuple:
+    """(down, up) as tuples of int bitmasks, in one pass over the table:
+    down[x] holds r iff rx = r, and up[s] holds t iff st = s.  On a meet
+    table these are the down-set and the up-set of each element."""
+    n = len(table)
+    down = [0] * n
+    up = [0] * n
+    for r, row in enumerate(table):
+        bit = 1 << r
+        for x, v in enumerate(row):
+            if v == r:
+                down[x] |= bit
+                up[r] |= 1 << x
+    return tuple(down), tuple(up)
+
+
 def _meets_down_sets(table) -> bool:
     """Whether down(st) = down(s) & down(t) for all s and t, with down(x)
     the bitmask of the r with rx = r.
@@ -79,16 +100,21 @@ def _meets_down_sets(table) -> bool:
     bound of s and t lies below st, so st is their meet.  The converse is
     the meet's defining property.
     """
-    down = [0] * len(table)
-    for r, row in enumerate(table):
-        bit = 1 << r
-        for x, v in enumerate(row):
-            if v == r:
-                down[x] |= bit
+    down, _ = _order_masks(table)
     for ds, row in zip(down, table):
         if list(map(down.__getitem__, row)) != [ds & dt for dt in down]:
             return False
     return True
+
+
+def _bits(mask) -> tuple:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _first_nonassociative(rows):
@@ -134,56 +160,37 @@ class Semilattice:
 
     def _derive(self):
         n, table = self.n, self.table
+        self.down, self.up = down, up = _order_masks(table)
         self.leq = tuple(
             tuple(table[s][t] == s for t in range(n)) for s in range(n)
         )
-        # minimum exists: fold the product over all elements
-        m = 0
-        for s in range(1, n):
-            m = table[m][s]
-        self.minimum = m
-        self.strictly_above = tuple(
-            tuple(t for t in range(n) if self.leq[s][t] and t != s)
-            for s in range(n)
-        )
-        self.strictly_below = tuple(
-            tuple(t for t in range(n) if self.leq[t][s] and t != s)
-            for s in range(n)
-        )
-        # ideal chain: strip the maximal elements until nothing is left
+        # a finite meet semilattice has a minimum: it lies below everything
+        self.minimum = up.index((1 << n) - 1)
+        self.strictly_above = tuple(_bits(up[s] ^ 1 << s) for s in range(n))
+        self.strictly_below = tuple(_bits(down[s] ^ 1 << s) for s in range(n))
+        # ideal chain: strip the maximal elements until nothing is left;
+        # s is maximal in remaining iff up[s] meets remaining in s alone
         chain = []
-        remaining = frozenset(range(n))
-        level = [0] * n
-        strips = []
+        depth = [0] * n
+        remaining = (1 << n) - 1
         while remaining:
-            chain.append(remaining)
-            strip = frozenset(
-                s
-                for s in remaining
-                if all(t not in remaining for t in self.strictly_above[s])
-            )
-            strips.append(strip)
-            remaining = remaining - strip
+            members = _bits(remaining)
+            chain.append(frozenset(members))
+            strip = [s for s in members if up[s] & remaining == 1 << s]
+            for s in strip:
+                depth[s] = len(chain) - 1
+                remaining ^= 1 << s
         self.ideal_chain = tuple(chain)
         self.height = len(chain) - 1
-        for k, strip in enumerate(strips):
-            for s in strip:
-                level[s] = self.height - k
-        self.level = tuple(level)
+        self.level = level = tuple(self.height - d for d in depth)
         self.canonical_perm = tuple(
             sorted(range(n), key=lambda s: (level[s], s))
         )
-        # Hasse diagram: t covers s iff s < t with nothing strictly between
-        covers = []
-        for s in range(n):
-            for t in self.strictly_above[s]:
-                if not any(
-                    self.leq[s][r] and self.leq[r][t]
-                    for r in range(n)
-                    if r != s and r != t
-                ):
-                    covers.append((s, t))
-        self.hasse = tuple(sorted(covers))
+        # Hasse diagram: t covers s iff s and t alone lie in [s, t]
+        self.hasse = tuple(
+            (s, t) for s in range(n) for t in self.strictly_above[s]
+            if up[s] & down[t] == 1 << s | 1 << t
+        )
 
     @cached_property
     def preimages(self) -> tuple:
@@ -201,10 +208,10 @@ class Semilattice:
         return tuple((a, 1, (0,)) for a in range(self.n))
 
     def down_set(self, s: int) -> frozenset:
-        return frozenset(t for t in range(self.n) if self.leq[t][s])
+        return frozenset(_bits(self.down[s]))
 
     def up_set(self, s: int) -> frozenset:
-        return frozenset(t for t in range(self.n) if self.leq[s][t])
+        return frozenset(_bits(self.up[s]))
 
     def top(self):
         """The maximum element, or None when there is none."""
@@ -288,9 +295,13 @@ def product(a: Semilattice, b: Semilattice):
     """Direct product; element (i, j) sits at index i*b.n + j, labelled
     "(label i,label j)".
 
-    Returns a ValidationReport with a "labels" violation naming the first
+    Returns a ValidationReport with a "size" violation (a.n, b.n) when the
+    product would have more than MAX_PRODUCT elements, checked before
+    anything is built, and with a "labels" violation naming the first
     label that two pairs share, as ("x,y", "z") and ("x", "y,z") do.
     """
+    if a.n * b.n > MAX_PRODUCT:
+        return ValidationReport(False, [Violation("size", (a.n, b.n))])
     labels = [f"({x},{y})" for x in a.labels for y in b.labels]
     seen = set()
     for label in labels:

@@ -279,6 +279,16 @@ def test_product_with_a_repeated_label_exits_2(capsys):
     assert err == ""
 
 
+def test_product_past_the_size_bound_exits_2(capsys):
+    # 5 x 205 = 1025 elements, one past the bound
+    doc = {"a": {"n": 5, "hasse": [[i, i + 1] for i in range(4)]},
+           "b": {"n": 205, "hasse": [[i, i + 1] for i in range(204)]}}
+    code, payload, err = run_json(capsys, "product", json.dumps(doc))
+    assert code == 2
+    assert payload == {"ok": False, "violations": [{"axiom": "size", "witness": [5, 205]}]}
+    assert err == ""
+
+
 def test_product_requires_both_factors(capsys):
     code, payload, _ = run_json(capsys, "product", json.dumps({"a": {"table": [[0]]}}))
     assert code == 2

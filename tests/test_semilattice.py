@@ -6,6 +6,7 @@ from conftest import SIX_COVERS, SIX_LABELS, make_broom, make_six, make_tree
 from oracles import are_isomorphic, relabel
 from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
+    MAX_PRODUCT,
     Semilattice,
     ValidationReport,
     _first_nonassociative,
@@ -388,7 +389,8 @@ def test_canonical_prefixes_are_down_closed():
 
 def reference_order_data(table) -> dict:
     """The order data of a meet table, read off its definitions: s <= t iff
-    st = s; t covers s iff s < t with nothing strictly between; the depth of
+    st = s, so down[x] and up[s] are the bitmasks of the r with rx = r and
+    of the t with st = s; t covers s iff s < t with nothing strictly between; the depth of
     s is the length of the longest chain from s up to a maximal element, so
     stripping the maximal elements k times leaves the s of depth >= k, and
     the level of s is the height minus its depth."""
@@ -405,6 +407,8 @@ def reference_order_data(table) -> dict:
     height = max(map(depth_of, range(n)))
     level = tuple(height - depth_of(s) for s in range(n))
     return {
+        "down": tuple(sum(1 << r for r in range(n) if table[r][x] == r) for x in range(n)),
+        "up": tuple(sum(1 << t for t in range(n) if table[s][t] == s) for s in range(n)),
         "strictly_above": tuple(above),
         "strictly_below": tuple(below),
         "hasse": tuple((s, t) for s in range(n) for t in above[s]
@@ -440,6 +444,29 @@ def test_order_data_matches_its_definitions():
         assert s.height == len(s.ideal_chain) - 1
 
 
+def test_order_data_at_scale_matches_closed_forms():
+    # a 301-element chain given as 300 covers, and power_set(8): t covers s
+    # iff t = s + 1, or iff t is s with one more bit; the level of s is s,
+    # or its popcount; above s lie 300 - s elements, or 2^(8 - |s|) - 1
+    chain_covers = tuple((x, x + 1) for x in range(300))
+    cube_covers = tuple(sorted((x, x | 1 << k) for x in range(256) for k in range(8)
+                               if not x >> k & 1))
+    popcount = tuple(bin(x).count("1") for x in range(256))
+    for s, covers, level, above in (
+        (from_hasse(301, chain_covers), chain_covers, tuple(range(301)),
+         tuple(300 - x for x in range(301))),
+        (power_set(8), cube_covers, popcount,
+         tuple(2 ** (8 - k) - 1 for k in popcount)),
+    ):
+        height = max(level)
+        assert s.hasse == covers
+        assert s.level == level
+        assert s.ideal_chain == tuple(
+            frozenset(x for x in range(s.n) if level[x] <= height - k)
+            for k in range(height + 1))
+        assert tuple(map(len, s.strictly_above)) == above
+
+
 def maximal(s, subset) -> frozenset:
     """The elements of subset with nothing of subset strictly above."""
     subset = frozenset(subset)
@@ -461,6 +488,17 @@ def test_product_of_chains():
     assert p.minimum == 0
     assert p.table[1 * 3 + 2][1 * 3 + 1] == 1 * 3 + 1
     assert check_table([list(r) for r in p.table]).ok
+
+
+def test_product_size_bound():
+    # (i, j) sits at i*32 + j, whose bits are i's above j's: power_set(10)
+    p = product(power_set(5), power_set(5))
+    assert p.n == MAX_PRODUCT == 1024
+    assert p.table == power_set(10).table
+    # one element past the bound, refused before any table is built
+    report = product(chain(4), chain(204))
+    assert isinstance(report, ValidationReport)
+    assert [(v.axiom, v.witness) for v in report.violations] == [("size", (5, 205))]
 
 
 def test_product_of_two_chains_is_diamond():

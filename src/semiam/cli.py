@@ -289,6 +289,8 @@ def cmd_gap_search(args) -> tuple:
         )
     except enumeration.InstanceLimitError as exc:
         raise _fail_invalid("instance_limit", exc.limit)
+    except enumeration.InstanceSizeError as exc:
+        raise _fail_invalid("size", exc.index, exc.size)
     return report.to_json_dict(), EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -318,7 +320,7 @@ def cmd_verify(args) -> tuple:
     base_obj = obj["base"]
     if isinstance(base_obj, dict) and "skeleton" in base_obj:
         base = _clifford(base_obj)
-        u = base.layout.unit
+        u = base.unit
     else:
         base = _semilattice(base_obj)
         u = unit(base)

@@ -39,10 +39,9 @@ class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
     Elements are indexed 0..order-1 in lexicographic digit order, so the
-    identity (all zeros) is index 0.  A group stores only its factor
-    orders: each Clifford layout builds its own block addition tables and
-    each hom its own image tuple, so a group shared by many layouts holds
-    no per-element data between them.
+    identity (all zeros) is index 0.  A group keeps its inverses once they
+    are asked for, and nothing else per element: each Clifford semigroup
+    builds its own block addition tables, and each hom its own image tuple.
     """
 
     def __init__(self, cyclic_orders):
@@ -66,13 +65,15 @@ class FiniteAbelianGroup:
                     for d in range(k) for row in sums]
         return sums
 
-    def inverses(self) -> list:
-        """inverses()[i] is the index of -element i."""
+    @cached_property
+    def inverses(self) -> tuple:
+        """inverses[i] is the index of -element i, computed on first use
+        and kept: the semigroups that share this group share it too."""
         negatives = [0]
         for k in reversed(self.cyclic_orders):
             m = len(negatives)
             negatives = [-d % k * m + h for d in range(k) for h in negatives]
-        return negatives
+        return tuple(negatives)
 
     def element(self, i: int) -> tuple:
         digits = []
@@ -162,87 +163,47 @@ def _composite_indices(first: ConnectingHom, second: ConnectingHom) -> tuple:
     return tuple(map(second.images.__getitem__, first.gen_indices))
 
 
-class _Layout:
-    """What every Clifford semigroup over one skeleton and one tuple of
-    groups derives without reading its homs: the block offsets, which are
-    the ids of the block identities, and, when they are asked for, block_of
-    and member_of, the block addition tables with the offsets folded in,
-    the inverses, the lifted unit, and the blocks that verify_diagonal
-    certifies against."""
-
-    def __init__(self, skeleton: Semilattice, groups):
-        self.skeleton = skeleton
-        self.groups = groups = tuple(groups)
-        blocks = skeleton.canonical_perm
-        offset = [0] * skeleton.n
-        n = 0
-        for s in blocks:
-            offset[s] = n
-            n += groups[s].order
-        self.n = n
-        self.canonical_perm = tuple(range(n))
-        self.offset = tuple(offset)
-
-    @cached_property
-    def block_of(self) -> tuple:
-        """block_of[x] is the skeleton element whose block holds x."""
-        return tuple(s for s in self.skeleton.canonical_perm
-                     for _ in range(self.groups[s].order))
-
-    @cached_property
-    def member_of(self) -> tuple:
-        """member_of[x] is the index of x in its block's group."""
-        return tuple(i for s in self.skeleton.canonical_perm
-                     for i in range(self.groups[s].order))
-
-    @cached_property
-    def sums(self) -> tuple:
-        """sums[r][a][b] is the id of a + b in block r."""
-        return tuple(g.sum_table(self.offset[r]) for r, g in enumerate(self.groups))
-
-    @cached_property
-    def inverses(self) -> tuple:
-        """inverses[e][x] is the index of -x in block e."""
-        return tuple(g.inverses() for g in self.groups)
-
-    @cached_property
-    def unit(self) -> tuple:
-        """The skeleton's unit on the block identities, as ints by element
-        id; verify_diagonal certifies it by its image under Phi."""
-        coeffs = [0] * self.n
-        for s, c in enumerate(unit(self.skeleton)):
-            coeffs[self.offset[s]] = c
-        return tuple(coeffs)
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """(start id, order, inverses) for each block, in id order: what
-        verify_diagonal checks Phi of the unit and of the diagonal against."""
-        return tuple((self.offset[f], self.groups[f].order, self.inverses[f])
-                     for f in self.skeleton.canonical_perm)
-
-
 class CliffordSemigroup:
     """Flattened semigroup of a validated Clifford construction.
 
     Element ids follow the skeleton's canonical order block by block, group
     elements in digit order inside each block, so the id order is already
-    the canonical order for diagonal matrices.  The constructor checks
-    nothing: homs must hold a valid ConnectingHom for every strict pair of
-    a transitive system, as build_clifford and hom_systems make sure.
+    the canonical order for diagonal matrices; the block offsets are the
+    ids of the block identities.  The constructor derives the offsets, the
+    blocks and the lifted unit, which verify_diagonal reads, and nothing
+    per element; the rest is derived on first use.  It checks nothing:
+    homs, which the semigroup keeps as given, must hold a valid
+    ConnectingHom for every strict pair of a transitive system, as
+    build_clifford and hom_systems make sure.
     """
 
-    def __init__(self, layout: _Layout, homs):
-        self.layout = layout
-        self.skeleton = layout.skeleton
-        self.groups = layout.groups
-        self.homs = dict(homs)  # (s, t) with t < s strictly -> ConnectingHom
-        self.n = layout.n
-        self.offset = layout.offset
-        self.canonical_perm = layout.canonical_perm
+    def __init__(self, skeleton: Semilattice, groups, homs):
+        self.skeleton = skeleton
+        self.groups = groups = tuple(groups)
+        self.homs = homs  # (s, t) with t < s strictly -> ConnectingHom
+        offset = [0] * skeleton.n
+        blocks = []
+        n = 0
+        for s in skeleton.canonical_perm:
+            group = groups[s]
+            offset[s] = n
+            blocks.append((n, group.order, group.inverses))
+            n += group.order
+        self.n = n
+        self.offset = tuple(offset)
+        # (start id, order, inverses) for each block, in id order: what
+        # verify_diagonal checks Phi of the unit and of the diagonal against
+        self.blocks = tuple(blocks)
+        # the skeleton's unit on the block identities, as ints by element
+        # id; verify_diagonal certifies it by its image under Phi
+        coeffs = [0] * n
+        for start, c in zip(offset, unit(skeleton)):
+            coeffs[start] = c
+        self.unit = tuple(coeffs)
+        self.canonical_perm = tuple(range(n))
         # _images[(s, r)][x] = phi_{s,r}(x), the identity map for s = r
-        self._images = {pair: hom.images for pair, hom in self.homs.items()}
-        self._images.update(((s, s), range(g.order)) for s, g in enumerate(self.groups))
+        self._images = {pair: hom.images for pair, hom in homs.items()}
+        self._images.update(((s, s), range(g.order)) for s, g in enumerate(groups))
 
     @cached_property
     def table(self) -> tuple:
@@ -250,7 +211,8 @@ class CliffordSemigroup:
         the solver oracle and a verify_diagonal reject read it, the
         transform does not."""
         skeleton = self.skeleton
-        sums = self.layout.sums
+        # sums[r][a][b] is the id of a + b in block r
+        sums = [g.sum_table(self.offset[r]) for r, g in enumerate(self.groups)]
         blocks = skeleton.canonical_perm
         table = []
         for sx in blocks:
@@ -267,13 +229,17 @@ class CliffordSemigroup:
                 table.append(tuple(row))
         return tuple(table)
 
-    @property
+    @cached_property
     def block_of(self) -> tuple:
-        return self.layout.block_of
+        """block_of[x] is the skeleton element whose block holds x."""
+        return tuple(s for s in self.skeleton.canonical_perm
+                     for _ in range(self.groups[s].order))
 
-    @property
+    @cached_property
     def member_of(self) -> tuple:
-        return self.layout.member_of
+        """member_of[x] is the index of x in its block's group."""
+        return tuple(i for s in self.skeleton.canonical_perm
+                     for i in range(self.groups[s].order))
 
     @cached_property
     def labels(self) -> tuple:
@@ -304,10 +270,6 @@ class CliffordSemigroup:
             for x, y in enumerate(images):
                 preimages[target + y].append(source + x)
         return preimages
-
-    @property
-    def blocks(self) -> tuple:
-        return self.layout.blocks
 
     def __repr__(self):
         return f"CliffordSemigroup(n={self.n}, skeleton_n={self.skeleton.n})"
@@ -387,7 +349,7 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
         covers = [a for a, b in skeleton.hasse if b == s]
         for t in skeleton.strictly_below[s]:
             if t not in covers:
-                r = next(r for r in covers if skeleton.leq[t][r])
+                r = next(r for r in covers if skeleton.down[r] >> t & 1)
                 composites.append((s, r, t))
     checks = [triple for triple in _triples(skeleton) if triple not in composites]
     for combo in product(*choice_lists):
@@ -419,7 +381,7 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     full = {}
     for (s, t), gen_images in (homs or {}).items():
         if not (0 <= s < skeleton.n and 0 <= t < skeleton.n
-                and t != s and skeleton.leq[t][s]):
+                and t != s and skeleton.down[s] >> t & 1):
             violations.append(Violation("hom_pair", (s, t)))
             continue
         hom = ConnectingHom(groups[s], groups[t], gen_images)
@@ -440,7 +402,7 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         return ValidationReport(False, [
             Violation("hom_transitive", triple)
             for triple in _intransitive(full, _triples(skeleton, every_triple=True))])
-    return CliffordSemigroup(_Layout(skeleton, groups), full)
+    return CliffordSemigroup(skeleton, groups, full)
 
 
 def unit_solve(base) -> tuple:
@@ -473,7 +435,8 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
     x paired with the copy of -x."""
     columns = mobius_table(g.skeleton).columns
     terms = []
-    for e, (group, inverses) in enumerate(zip(g.groups, g.layout.inverses)):
+    for e, group in enumerate(g.groups):
+        inverses = group.inverses
         # copies[x]: (id of phi_{e,f}(x), mu(f, e)) over the f with mu(f, e) != 0
         copies = [[] for _ in inverses]
         for f, m in columns[e].items():
@@ -492,7 +455,7 @@ def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
     table is built unless the pair is rejected, and then the
     DiagonalSolveError names the witness.
     """
-    u = g.layout.unit
+    u = g.unit
     d = diagonal_closed_form(g)
     ok, witness = verify_diagonal(d, u)
     if not ok:
@@ -505,14 +468,12 @@ def certified_ams(instances):
     nothing: an instance has a skeleton, groups and homs, {(s, t):
     ConnectingHom} of a valid transitive system, as hom_systems lists them.
     The homs are used as they come, so a map the listing shares is built,
-    and its image tuple computed, once; a run of instances over one
-    skeleton and groups tuple shares a layout, dropped when the run ends.
+    and its image tuple computed, once; so is the inverse tuple of a group
+    object the instances share.
     """
-    layout = None
     for inst in instances:
-        if layout is None or (inst.skeleton, inst.groups) != (layout.skeleton, layout.groups):
-            layout = _Layout(inst.skeleton, inst.groups)
-        yield unit_and_diagonal(CliffordSemigroup(layout, inst.homs))[1].am()
+        g = CliffordSemigroup(inst.skeleton, inst.groups, inst.homs)
+        yield unit_and_diagonal(g)[1].am()
 
 
 def diagonal_solve(base) -> DiagonalTensor:

@@ -11,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .clifford import FiniteAbelianGroup, certified_ams, hom_systems
+from .clifford import MAX_ELEMENTS, FiniteAbelianGroup, certified_ams, hom_systems
 from .diagonal import diagonal_recursive
 from .exactlinalg import rat_str
 from .moebius import diagonal_via_mobius
@@ -243,6 +243,17 @@ class InstanceLimitError(ValueError):
         self.limit = limit
 
 
+class InstanceSizeError(ValueError):
+    """A listed gap search instance has more elements than the
+    MAX_ELEMENTS that Clifford input may have."""
+
+    def __init__(self, index: int, size: int):
+        super().__init__(f"gap search instance {index} has {size} elements, "
+                         f"more than {MAX_ELEMENTS}")
+        self.index = index
+        self.size = size
+
+
 def _order_tuples(max_order: int, size: int):
     """iproduct(range(1, max_order + 1), repeat=size), without first
     storing the range as a tuple, which a huge max_order cannot afford."""
@@ -290,8 +301,17 @@ def gap_search(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
     certifies each unit and diagonal before its constant is counted.  The
     gap is tested once per distinct constant, and the instances are
     walked for violations only when some constant falls in it.
+
+    The family is listed in full before anything is solved, so a family
+    past instance_limit raises InstanceLimitError, and then one holding an
+    instance of more than MAX_ELEMENTS elements raises InstanceSizeError
+    at the first such instance.
     """
     instances = gap_instances(skeleton_max_size, max_cyclic_order, instance_limit)
+    for i, inst in enumerate(instances):
+        size = sum(g.order for g in inst.groups)
+        if size > MAX_ELEMENTS:
+            raise InstanceSizeError(i, size)
     counts: dict = {}
     for inst, am in zip(instances, certified_ams(instances)):
         inst.am = am

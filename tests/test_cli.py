@@ -374,6 +374,19 @@ def test_oversized_search_family_exits_2_before_building_large_groups(capsys):
     assert err == ""
 
 
+def test_gap_search_past_the_size_bound_exits_2_before_solving(capsys):
+    # Z_513 is the first instance with more than 512 elements: the family
+    # is refused once listed, before any of its 600 instances is solved
+    code, payload, err = run_json(
+        capsys, "gap-search", "--skeleton-max-size", "1", "--max-cyclic-order", "600")
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "size", "witness": [512, 513]}],
+    }
+    assert err == ""
+
+
 def test_a_huge_max_cyclic_order_exits_2_at_the_instance_limit(capsys):
     code, payload, err = run_json(
         capsys, "gap-search", "--max-cyclic-order", "1000000000000", "--limit", "5")

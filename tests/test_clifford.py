@@ -50,7 +50,7 @@ def test_group_structure():
     z4 = FiniteAbelianGroup([4])
     assert z4.order == 4
     assert z4.sum_table(0)[1][3] == 0
-    assert z4.inverses()[1] == 3
+    assert z4.inverses[1] == 3
     klein = FiniteAbelianGroup([2, 2])
     assert klein.order == 4
     assert klein.element(3) == (1, 1)
@@ -217,7 +217,7 @@ def test_seven_element_golden():
     assert d.am() == 43
     u = unit_solve(cs)
     assert u == (0, 0, 0, 0, 0, 0, 1)
-    assert cs.layout.unit == u
+    assert cs.unit == u
 
 
 def test_collapse_recovers_skeleton_diagonal():
@@ -370,7 +370,7 @@ def digits_index(group, digits):
 @pytest.mark.parametrize("orders", TABLE_ORDERS, ids=str)
 def test_group_tables_are_digitwise_modular_arithmetic(orders):
     group = FiniteAbelianGroup(orders)
-    sums, inverses = group.sum_table(0), group.inverses()
+    sums, inverses = group.sum_table(0), group.inverses
     assert group.order == len(sums) == len(inverses)
     for x in range(group.order):
         a = group.element(x)
@@ -510,8 +510,8 @@ def test_size_bound_rejects_before_any_group_is_built(monkeypatch):
 
 
 def test_building_a_clifford_semigroup_leaves_its_skeleton_as_it_was():
-    # the skeleton keeps its own Moebius table and unit; layouts and homs
-    # belong to the semigroups built over it
+    # the skeleton keeps its own Moebius table and unit; units, blocks and
+    # homs belong to the semigroups built over it
     skeleton = make_six()
     before = dict(vars(skeleton))
     groups = [FiniteAbelianGroup([k]) for k in (2, 1, 3, 2, 1, 4)]

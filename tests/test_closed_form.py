@@ -54,9 +54,9 @@ def build_instance(inst) -> CliffordSemigroup:
 
 
 def trusted_build(skeleton, groups, homs) -> CliffordSemigroup:
-    """The build certified_ams runs: a layout and the ConnectingHoms that
-    hom_systems lists, with none of build_clifford's checks."""
-    return CliffordSemigroup(clifford._Layout(skeleton, groups), homs)
+    """The build certified_ams runs: the semigroup over the ConnectingHoms
+    that hom_systems lists, with none of build_clifford's checks."""
+    return CliffordSemigroup(skeleton, groups, homs)
 
 
 def per_cell_table(g: CliffordSemigroup) -> tuple:
@@ -102,7 +102,7 @@ def assert_table_is_the_clifford_semigroup(g: CliffordSemigroup):
 def assert_engines_agree(g: CliffordSemigroup):
     d = diagonal_closed_form(g)
     assert d == diagonal_solve(g)
-    assert g.layout.unit == unit_solve(g)
+    assert g.unit == unit_solve(g)
     ok, witness = verify_diagonal(d, unit_solve(g))
     assert ok, witness
 
@@ -164,7 +164,7 @@ def test_units_are_int_tuples_and_the_clifford_units_solve():
     assert len(instances) == 332
     for inst in instances:
         g = build_instance(inst)
-        u = g.layout.unit
+        u = g.unit
         assert type(u) is tuple and len(u) == g.n
         assert all(type(c) is int for c in u)
         assert u == unit_solve(g)
@@ -372,7 +372,7 @@ def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
     # each instance is built over the family's own skeleton and groups,
     # whose Moebius tables and units earlier instances have filled, and
     # over fresh copies of both, which share nothing; certified_ams, which
-    # shares layouts and homs along the family, gives the fresh AMs
+    # shares groups and homs along the family, gives the fresh AMs
     instances = gap_instances()
     assert len(instances) == 332
     fresh_ams = []
@@ -388,8 +388,8 @@ def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
     assert list(clifford.certified_ams(instances)) == fresh_ams
 
 
-def test_certified_ams_gives_each_skeleton_its_own_layout():
-    # two skeletons over one groups tuple object: a layout shared on the
+def test_certified_ams_solves_each_instance_over_its_own_skeleton():
+    # two skeletons over one groups tuple object: data shared on the
     # groups alone would solve the second over the first's skeleton
     groups = (FiniteAbelianGroup([2]),) + (FiniteAbelianGroup([1]),) * 3
     instances = [GapInstance(skeleton, groups, homs)
@@ -492,7 +492,7 @@ def test_verify_diagonal_accepts_exactly_what_the_reference_accepts():
     cases = []
     for inst in gap_instances() + random.Random(9).sample(gap_instances(4, 4), 500):
         g = trusted_build(inst.skeleton, inst.groups, inst.homs)
-        cases.append((g.layout.unit, unit_solve(g), diagonal_closed_form(g)))
+        cases.append((g.unit, unit_solve(g), diagonal_closed_form(g)))
     for size in range(1, 7):
         for s in enumerate_semilattices(size):
             cases.append((unit(s), unit_solve(s), diagonal_via_mobius(s)))
@@ -533,7 +533,7 @@ def test_a_denominator_that_no_block_order_divides_is_rejected():
     # den is 3, as 3 * (2/3) T = 1 = floor(3/2) at every (x, -x)
     g = build_clifford(chain(1), [FiniteAbelianGroup([2])] * 2, {})
     assert isinstance(g, CliffordSemigroup)
-    u, d = g.layout.unit, diagonal_closed_form(g)
+    u, d = g.unit, diagonal_closed_form(g)
     zero = DiagonalTensor(g, [[0] * g.n for _ in range(g.n)])
     two_thirds = DiagonalTensor(g, [[2 * v for v in row] for row in d.rows], 3 * d.den)
     assert (zero.den, two_thirds.den) == (1, 3)

@@ -89,7 +89,7 @@ def test_clifford_engines_agree_on_random_block_systems():
         homs = rng.choice(list(islice(hom_systems(skel, groups), 50)))
         g = build_clifford(skel, groups, images_of(homs))
         assert isinstance(g, CliffordSemigroup)
-        u, d = g.layout.unit, diagonal_closed_form(g)
+        u, d = g.unit, diagonal_closed_form(g)
         assert verify_diagonal(d, u) == (True, None)
         if g.n <= 16:
             solved += 1

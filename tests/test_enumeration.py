@@ -13,9 +13,10 @@ import pytest
 from conftest import images_of
 from oracles import are_isomorphic, enumerate_brute, enumerate_by_families, relabel
 from semiam import clifford, enumeration
-from semiam.clifford import FiniteAbelianGroup, hom_systems
+from semiam.clifford import MAX_ELEMENTS, FiniteAbelianGroup, hom_systems
 from semiam.enumeration import (
     InstanceLimitError,
+    InstanceSizeError,
     canonical_table,
     enumerate_by_extension,
     enumerate_semilattices,
@@ -176,28 +177,69 @@ def test_gap_instance_listing_is_pinned(args, count, digest):
     assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
 
-def test_gap_instances_build_no_group_tables(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("a group table was built during enumeration")
+class Refused:
+    """A class attribute that raises when it is read, called or not."""
 
-    monkeypatch.setattr(FiniteAbelianGroup, "sum_table", refuse)
-    monkeypatch.setattr(FiniteAbelianGroup, "inverses", refuse)
+    def __init__(self, what):
+        self.what = what
+
+    def __get__(self, obj, owner=None):
+        raise AssertionError(f"{self.what} during enumeration")
+
+
+def test_gap_instances_build_no_group_tables(monkeypatch):
+    # inverses is a cached attribute: a plain function patched in its
+    # place would raise only when called, and reading it calls nothing
+    monkeypatch.setattr(FiniteAbelianGroup, "sum_table", Refused("a group table was built"))
+    monkeypatch.setattr(FiniteAbelianGroup, "inverses", Refused("a group's inverses were read"))
     assert len(gap_instances()) == 332
 
 
-def test_gap_search_derives_shared_data_once(monkeypatch):
-    # the 332 instances fall into 148 (skeleton, groups) pairs: each layout
-    # is derived once, however many instances share it
-    counts = Counter()
-    real_layout = clifford._Layout.__init__
+def test_gap_search_computes_each_groups_inverses_once(monkeypatch):
+    # the listing shares one group object per cyclic order across the
+    # family, Z_1 to Z_4 by default, and each computes its inverses once
+    # however many instances and blocks read them
+    computed = Counter()
+    cached = vars(FiniteAbelianGroup)["inverses"]
+    real = cached.func
 
-    def layout(self, *args):
-        counts["layouts"] += 1
-        real_layout(self, *args)
+    def inverses(self):
+        computed[self] += 1
+        return real(self)
 
-    monkeypatch.setattr(clifford._Layout, "__init__", layout)
+    monkeypatch.setattr(cached, "func", inverses)
     assert gap_search().instance_count == 332
-    assert 0 < counts["layouts"] <= 148
+    assert sorted(g.order for g in computed) == [1, 2, 3, 4]
+    assert set(computed.values()) == {1}
+
+
+def test_gap_search_solves_a_family_at_the_size_bound(monkeypatch):
+    # Z_1 to Z_512 over the one-element skeleton: the last instance has
+    # exactly MAX_ELEMENTS elements, so the search goes on to solve them
+    # all, here by a stub, since the real solver takes seconds at this size
+    solved = []
+
+    def stub(instances):
+        for inst in instances:
+            solved.append(sum(g.order for g in inst.groups))
+            yield Fraction(1)
+
+    monkeypatch.setattr(enumeration, "certified_ams", stub)
+    report = gap_search(1, MAX_ELEMENTS)
+    assert report.instance_count == MAX_ELEMENTS
+    assert solved == list(range(1, MAX_ELEMENTS + 1))
+
+
+def test_gap_search_refuses_an_instance_past_the_size_bound(monkeypatch):
+    # one element more, and the search stops after listing the family,
+    # before any instance is solved, naming the first oversized instance
+    def refuse(instances):
+        raise AssertionError("an instance was solved")
+
+    monkeypatch.setattr(enumeration, "certified_ams", refuse)
+    with pytest.raises(InstanceSizeError) as caught:
+        gap_search(1, 2 * MAX_ELEMENTS)
+    assert (caught.value.index, caught.value.size) == (MAX_ELEMENTS, MAX_ELEMENTS + 1)
 
 
 def test_gap_search_solves_on_the_homs_its_listing_built(monkeypatch):
@@ -276,9 +318,10 @@ def test_a_search_holds_one_hom_per_map_of_its_family(monkeypatch):
     assert set(held) == {sum(gcd(a, b) for a in range(1, 9) for b in range(1, 9))}
     gc.collect()
     assert len(live) == 0
-    # nor do the groups the instances share keep map data of their own
+    # nor do the groups the instances share keep map data of their own:
+    # each keeps its factor orders and its inverses
     assert {frozenset(vars(g)) for groups in groups_seen for g in groups} == {
-        frozenset({"cyclic_orders", "order"})}
+        frozenset({"cyclic_orders", "order", "inverses"})}
 
 
 def test_gap_search_am_counts_on_the_four_element_family():
@@ -300,7 +343,7 @@ def test_groups_shared_by_a_search_keep_no_map_data():
         clifford.unit_and_diagonal(built)
     groups = {g for inst in instances for g in inst.groups}
     assert {frozenset(vars(g)) for g in groups} == {
-        frozenset({"cyclic_orders", "order"})}
+        frozenset({"cyclic_orders", "order", "inverses"})}
 
 
 def test_gap_search_instance_limit_names_the_limit():

@@ -20,10 +20,10 @@ from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 # The most elements, sum |G_e|, that from_json_dict accepts.  Diagonal
 # and certificate work grow as n^2 to n^3: at 510 elements `semiam clifford`
-# takes 4.4-4.7 s on the slowest shape found, a chain of trivial blocks given
-# as a table, and 0.43-0.51 s on flat_with_top(510), three runs each on a
-# shared 2-CPU Xeon under Python 3.11.7.  The chain's time is mostly the
-# skeleton's MoebiusTable, which is cubic on a chain.
+# takes 2.7-3.2 s on the slowest shape found, a chain of trivial blocks given
+# as a table, and 0.40-0.44 s on flat_with_top(510), three runs each on a
+# shared 2-CPU Xeon under Python 3.11.7.  On the chain, build_clifford's
+# 130305 trivial homs and the certificate's zeta lift take about a third each.
 MAX_ELEMENTS = 512
 
 
@@ -316,32 +316,24 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
     system is kept when it passes the transitivity check of build_clifford
     on every cover triple but these (s, r, t), which hold by construction.
 
-    The systems share one ConnectingHom per distinct map: maps holds it
-    under (source, target, gen_indices), and the list of every map source
-    -> target under (source, target).  Calls over the same group objects
+    The systems share one ConnectingHom per distinct map: maps[(source,
+    target)] is the registry {gen_indices: hom} of every hom source ->
+    target, built once from hom_choices.  Calls over the same group objects
     that pass one maps dict share their maps too, so a caller that keeps
     every system holds each map, and its image tuple, once.
     """
-    if maps is None:
-        maps = {}
+    maps = {} if maps is None else maps
 
-    def the_map(source, target, indices):
-        key = (source, target, indices)
-        hom = maps.get(key)
-        if hom is None:
-            hom = maps[key] = ConnectingHom(source, target, map(target.element, indices))
-            hom.gen_indices = indices
-        return hom
-
-    def choices(source, target):
+    def registry(source, target):
         key = (source, target)
         if key not in maps:
-            maps[key] = [the_map(source, target, tuple(map(target.index, imgs)))
-                         for imgs in hom_choices(source, target)]
+            homs = (ConnectingHom(source, target, imgs)
+                    for imgs in hom_choices(source, target))
+            maps[key] = {hom.gen_indices: hom for hom in homs}
         return maps[key]
 
     cover_pairs = [(b, a) for a, b in skeleton.hasse]  # hom source above
-    choice_lists = [choices(groups[s], groups[t]) for s, t in cover_pairs]
+    choice_lists = [registry(groups[s], groups[t]).values() for s, t in cover_pairs]
     # composites in canonical order, lowest level first, so that (r, t) is
     # set before the composite (s, t) through the lower cover r needs it
     composites = []
@@ -355,8 +347,9 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
     for combo in product(*choice_lists):
         homs = dict(zip(cover_pairs, combo))
         for s, r, t in composites:
-            homs[(s, t)] = the_map(groups[s], groups[t],
-                                   _composite_indices(homs[(s, r)], homs[(r, t)]))
+            # a composite of valid homs is a hom, so the registry holds it
+            homs[(s, t)] = registry(groups[s], groups[t])[
+                _composite_indices(homs[(s, r)], homs[(r, t)])]
         if next(_intransitive(homs, checks), None) is None:
             yield homs
 
@@ -437,13 +430,12 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
     terms = []
     for e, group in enumerate(g.groups):
         inverses = group.inverses
-        # copies[x]: (id of phi_{e,f}(x), mu(f, e)) over the f with mu(f, e) != 0
+        # copies[x]: (id of phi_{e,f}(x), mu(f, e)) over the support of column e
         copies = [[] for _ in inverses]
         for f, m in columns[e].items():
-            if m:
-                start = g.offset[f]
-                for copy, y in zip(copies, g._images[(e, f)]):
-                    copy.append((start + y, m))
+            start = g.offset[f]
+            for copy, y in zip(copies, g._images[(e, f)]):
+                copy.append((start + y, m))
         terms += [(group.order, copy, copies[y]) for copy, y in zip(copies, inverses)]
     return closed_form(g, terms)
 

@@ -114,17 +114,17 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
     s*t = p forces s, t >= p, so every other entry of the moment at p is
     written by then.  A maximal p has no such entry and gets d(p,p) = 1.
     """
-    n, table, leq, above = s.n, s.table, s.leq, s.strictly_above
+    n, table, above = s.n, s.table, s.strictly_above
     u = unit(s)
     d = [[0] * n for _ in range(n)]
     moment = [0] * n
     perm = s.canonical_perm
     for c in range(n - 1, -1, -1):
         p = perm[c]
-        row_p, meets, up = d[p], table[p], leq[p]
+        row_p, meets = d[p], table[p]
         for q in reversed(perm[c + 1:]):
-            row_q = d[q]
-            if up[q]:
+            row_q, meet = d[q], meets[q]
+            if meet == p:  # p < q
                 pq = -sum(d[t][q] for t in above[p])
                 qp = -sum(map(row_q.__getitem__, above[p]))
             else:
@@ -132,7 +132,7 @@ def diagonal_recursive(s: Semilattice) -> DiagonalTensor:
                 pq = -sum(map(row_p.__getitem__, above[q]))
                 qp = -sum(d[t][p] for t in above[q])
             row_p[q], row_q[p] = pq, qp
-            moment[meets[q]] += pq + qp
+            moment[meet] += pq + qp
         row_p[p] = u[p] - moment[p]
     return DiagonalTensor(s, d)
 

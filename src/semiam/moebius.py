@@ -10,33 +10,36 @@ On a semilattice every block is trivial.
 from math import lcm
 
 from .diagonal import DiagonalTensor
-from .semilattice import Semilattice
+from .semilattice import Semilattice, _bits
 
 
 class MoebiusTable:
-    """mu(t, s) for all comparable pairs t <= s of one semilattice.
-
-    columns[s] maps every t <= s, zeros included, to the int mu(t, s).
-    """
+    """mu(t, s) of one semilattice on its support: columns[s] maps each
+    t <= s with mu(t, s) != 0, and no other t, to the int mu(t, s), the
+    orthogonal idempotent of s that the closed forms read.  pairs() adds
+    the zeros."""
 
     def __init__(self, base: Semilattice):
         self.base = base
+        level, up, below = base.level, base.up, base.strictly_below
         columns = []
         for s in range(base.n):
-            # mu(t, s) = -sum of mu(r, s) over t < r <= s; reversed
-            # canonical order reaches every such r before t
-            column = {s: 1}
-            for t in reversed(base.canonical_perm):
-                if t != s and base.leq[t][s]:
-                    column[t] = -sum(column[r] for r in base.strictly_above[t]
-                                     if r in column)
+            # mu(t, s) = -sum of mu(r, s) over t < r <= s, over the support
+            # found so far; levels descending reach every such r before t
+            column, support = {s: 1}, 1 << s
+            for t in sorted(below[s], key=level.__getitem__, reverse=True):
+                m = -sum(map(column.__getitem__, _bits(support & up[t])))
+                if m:
+                    column[t] = m
+                    support |= 1 << t
             columns.append(column)
         self.columns = tuple(columns)
 
     def pairs(self):
-        """All (t, s, mu) triples, sorted."""
-        return sorted((t, s, v) for s, column in enumerate(self.columns)
-                      for t, v in column.items())
+        """Every (t, s, mu(t, s)) with t <= s, zeros included, sorted."""
+        return sorted((t, s, column.get(t, 0))
+                      for s, column in enumerate(self.columns)
+                      for t in _bits(self.base.down[s]))
 
 
 def mobius_table(base: Semilattice) -> MoebiusTable:
@@ -66,6 +69,5 @@ def closed_form(base, terms) -> DiagonalTensor:
 def diagonal_via_mobius(base: Semilattice) -> DiagonalTensor:
     """The closed form with one trivial block per element: one term
     (1, c, c) per Moebius column c."""
-    copies = ([(t, m) for t, m in column.items() if m]
-              for column in mobius_table(base).columns)
-    return closed_form(base, [(1, c, c) for c in copies])
+    return closed_form(base, [(1, c.items(), c.items())
+                              for c in mobius_table(base).columns])

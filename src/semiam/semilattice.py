@@ -18,6 +18,9 @@ Violation = namedtuple("Violation", "axiom witness")
 # otherwise print a 29 MB table, and two 100-chains build 10^8 entries.
 MAX_PRODUCT = 1024
 
+# The most elements from_hasse accepts: it builds n n-bit masks first.
+MAX_HASSE = 4096
+
 
 class ValidationReport(namedtuple("ValidationReport", "ok violations")):
     __slots__ = ()
@@ -241,8 +244,11 @@ def from_hasse(n: int, covers, labels=None):
 
     Fails with a report when the edges contain a cycle or when some pair has
     no greatest common lower bound: each element s names at most one of
-    each, (s, t) for the first t > s that fails.
+    each, (s, t) for the first t > s that fails.  More than MAX_HASSE
+    elements is a "size" violation (n,), found before anything is built.
     """
+    if n > MAX_HASSE:
+        return ValidationReport(False, [Violation("size", (n,))])
     violations = []
     edges = []
     for e in covers:

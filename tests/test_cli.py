@@ -125,6 +125,44 @@ def test_validate_rejects_a_large_antichain_without_building_its_table():
     assert peak_kb < 40 * 1024
 
 
+def _run_reporting_peak(*argv):
+    """Run the CLI in a child capped at 1 GB of address space that reports
+    its own VmHWM: (exit code, stdout, the CLI's stderr, peak kB)."""
+    script = (
+        "import io, resource, sys\n"
+        "from contextlib import redirect_stderr\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from semiam import cli\n"
+        "err = io.StringIO()\n"
+        "with redirect_stderr(err):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    sys.stderr.write(status.read() + 'CLI stderr:' + err.getvalue())\n"
+        "sys.exit(code)\n"
+    )
+    import_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(import_root))
+    child = subprocess.run([sys.executable, "-c", script, *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    status, _, err = child.stderr.partition("CLI stderr:")
+    peak_kb = next(int(line.split()[1]) for line in status.splitlines()
+                   if line.startswith("VmHWM:"))
+    return child.returncode, child.stdout, err, peak_kb
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_a_huge_hasse_input_exits_2_before_anything_is_built():
+    # 30 bytes that would ask for n n-bit masks, about 60 GB at n = 10^6
+    skeleton = {"n": 1000000000, "hasse": []}
+    refused = {"ok": False, "violations": [{"axiom": "size", "witness": [1000000000]}]}
+    for argv in (("validate", json.dumps(skeleton)),
+                 ("am", json.dumps(skeleton)),
+                 ("clifford", json.dumps({"skeleton": skeleton, "groups": []}))):
+        code, out, err, peak_kb = _run_reporting_peak(*argv)
+        assert (code, json.loads(out), err) == (2, refused, ""), argv
+        assert peak_kb < 40 * 1024
+
+
 def test_matrix_strings_read_the_ints_as_rat_str_reads_fractions():
     base = make_six()
     perm = base.canonical_perm

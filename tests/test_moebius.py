@@ -2,10 +2,25 @@ import random
 from fractions import Fraction
 
 from conftest import make_broom, make_six, make_tree
-from oracles import point_mass, relabel, schutzenberger, schutzenberger_inverse
+from oracles import (
+    mobius_by_definition,
+    point_mass,
+    relabel,
+    schutzenberger,
+    schutzenberger_inverse,
+)
 from semiam.diagonal import diagonal_recursive, unit
 from semiam.moebius import diagonal_via_mobius, mobius_table
-from semiam.semilattice import chain, flat, flat_with_top, power_set
+from semiam.semilattice import (
+    Semilattice,
+    chain,
+    flat,
+    flat_with_top,
+    from_hasse,
+    power_set,
+    validate,
+)
+from test_semilattice import random_family_table
 
 
 def test_mobius_chain():
@@ -14,9 +29,9 @@ def test_mobius_chain():
         assert mu.columns[t][t] == 1
     for t in range(3):
         assert mu.columns[t + 1][t] == -1
-    assert mu.columns[2][0] == 0
-    assert mu.columns[3][0] == 0
-    assert mu.columns[3][1] == 0
+    assert mu.columns[2].get(0, 0) == 0
+    assert mu.columns[3].get(0, 0) == 0
+    assert mu.columns[3].get(1, 0) == 0
 
 
 def test_mobius_flat_with_top():
@@ -45,19 +60,21 @@ def test_mobius_six_element_golden():
         (4, 5): -1,
     }
     for (t, s), v in expected.items():
-        assert mu.columns[s][t] == v, (t, s)
+        assert mu.columns[s].get(t, 0) == v, (t, s)
     for t in range(6):
         assert mu.columns[t][t] == 1
 
 
 def test_extended_mobius_zero_off_order():
+    # a column holds its support and nothing else: t in columns[s] iff
+    # mu(t, s) != 0, so no pair off the order and no zero on it
     six = make_six()
     mu = mobius_table(six)
+    expected = mobius_by_definition(six)
     for t in range(6):
         for s in range(6):
-            assert (t in mu.columns[s]) == six.leq[t][s]
-            if not six.leq[t][s]:
-                assert mu.columns[s].get(t, 0) == 0
+            assert (t in mu.columns[s]) == (expected.get((t, s), 0) != 0)
+    assert sum(map(len, mu.columns)) == 15  # 17 comparable pairs, 2 zeros
 
 
 def test_inversion_identities():
@@ -141,3 +158,36 @@ def test_mobius_pairs_cover_order():
     mu = mobius_table(six)
     listed = {(t, s) for t, s, _ in mu.pairs()}
     assert listed == {(t, s) for t in range(6) for s in range(6) if six.leq[t][s]}
+
+
+def test_mobius_columns_on_a_long_chain_hold_two_entries():
+    # on a chain of 1000 covers mu(t, s) != 0 only for t = s and t = s - 1
+    s = from_hasse(1001, [(i, i + 1) for i in range(1000)])
+    columns = mobius_table(s).columns
+    assert columns[0] == {0: 1}
+    for x in range(1, 1001):
+        assert columns[x] == {x: 1, x - 1: -1}
+    assert len(mobius_table(s).pairs()) == 1001 * 1002 // 2
+    assert diagonal_via_mobius(s).am() == 4 * 1000 + 1
+    # the recursion is cubic on a chain: compare the engines on 300 covers
+    short = from_hasse(301, [(i, i + 1) for i in range(300)])
+    assert diagonal_via_mobius(short) == diagonal_recursive(short)
+
+
+def test_mobius_columns_match_the_definition_at_scale():
+    rng = random.Random(67)
+    bases = [flat_with_top(200), power_set(8)]
+    bases += [validate(random_family_table(rng, n)) for n in (32, 64, 128, 256)]
+    for s in bases:
+        assert isinstance(s, Semilattice)
+        expected = mobius_by_definition(s)
+        mu = mobius_table(s)
+        assert mu.pairs() == sorted((t, x, v) for (t, x), v in expected.items())
+        for x, column in enumerate(mu.columns):
+            assert column == {t: v for (t, r), v in expected.items() if r == x and v}
+        assert diagonal_via_mobius(s) == diagonal_recursive(s)
+    # on a power set column s holds the 2^|s| subsets t of s, at
+    # (-1)^|s - t|
+    for x, column in enumerate(mobius_table(power_set(8)).columns):
+        assert column == {t: (-1) ** bin(x ^ t).count("1")
+                          for t in range(256) if t & x == t}

@@ -6,6 +6,7 @@ from conftest import SIX_COVERS, SIX_LABELS, make_broom, make_six, make_tree
 from oracles import are_isomorphic, relabel
 from semiam.enumeration import enumerate_semilattices
 from semiam.semilattice import (
+    MAX_HASSE,
     MAX_PRODUCT,
     Semilattice,
     ValidationReport,
@@ -286,6 +287,22 @@ def test_from_hasse_names_one_partner_per_element():
         assert isinstance(report, ValidationReport)
         assert [(v.axiom, v.witness) for v in report.violations] == [
             (axiom, (s, s + 1)) for s in range(n - 1)]
+
+
+def test_from_hasse_size_bound():
+    # at the bound an antichain is judged as any other input: every element
+    # names its first meetless partner
+    report = from_hasse(MAX_HASSE, [])
+    assert MAX_HASSE == 4096
+    assert isinstance(report, ValidationReport)
+    assert len(report.violations) == 4095
+    assert report.violations[-1] == ("meet", (4094, 4095))
+    # one element past it is refused before any mask is built, edges unread
+    for n in (MAX_HASSE + 1, 10 ** 9):
+        report = from_hasse(n, [(0, n + 5)])
+        assert [(v.axiom, v.witness) for v in report.violations] == [("size", (n,))]
+    report = from_json_dict({"n": 4097, "hasse": [[0, 1]]})
+    assert [(v.axiom, v.witness) for v in report.violations] == [("size", (4097,))]
 
 
 def test_from_hasse_builds_a_long_chain():

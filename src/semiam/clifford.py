@@ -18,12 +18,12 @@ from .moebius import closed_form, mobius_table
 from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 
 
-# The most elements, sum |G_e|, that from_json_dict accepts.  Diagonal
-# and certificate work grow as n^2 to n^3: at 510 elements `semiam clifford`
-# takes 2.7-3.2 s on the slowest shape found, a chain of trivial blocks given
-# as a table, and 0.40-0.44 s on flat_with_top(510), three runs each on a
-# shared 2-CPU Xeon under Python 3.11.7.  On the chain, build_clifford's
-# 130305 trivial homs and the certificate's zeta lift take about a third each.
+# The most elements, sum |G_e|, that from_json_dict accepts.  Diagonal and
+# certificate work grow as n^2 to n^3.  At 510 elements `semiam clifford`
+# takes 1.75-1.85 s on the slowest accepted shape found, a chain of trivial
+# blocks (over a third in the certificate's zeta lift, a quarter in
+# validate), 0.39-0.41 s on flat_with_top(510) and 2.3-2.8 s to reject a Z2
+# chain of 256 with one bad triple: 3 runs each, 2-CPU Xeon, Python 3.11.7.
 MAX_ELEMENTS = 512
 
 
@@ -129,13 +129,6 @@ class ConnectingHom:
         valid homs between the same groups are equal iff these are."""
         return tuple(map(self.target.index, self.gen_images))
 
-    @classmethod
-    def trivial(cls, source, target):
-        img = tuple([0] * len(target.cyclic_orders) for _ in source.cyclic_orders)
-        hom = cls(source, target, img)
-        hom.images = (0,) * source.order  # every element maps to the identity
-        return hom
-
     def check(self):
         """None when well defined, else a short reason string.
 
@@ -172,15 +165,15 @@ class CliffordSemigroup:
     ids of the block identities.  The constructor derives the offsets, the
     blocks and the lifted unit, which verify_diagonal reads, and nothing
     per element; the rest is derived on first use.  It checks nothing:
-    homs, which the semigroup keeps as given, must hold a valid
-    ConnectingHom for every strict pair of a transitive system, as
-    build_clifford and hom_systems make sure.
+    homs, which the semigroup keeps as given, must map strict pairs to
+    valid ConnectingHoms of a transitive system, in which an omitted pair
+    is the zero map, as build_clifford and hom_systems make sure.
     """
 
     def __init__(self, skeleton: Semilattice, groups, homs):
         self.skeleton = skeleton
         self.groups = groups = tuple(groups)
-        self.homs = homs  # (s, t) with t < s strictly -> ConnectingHom
+        self.homs = homs  # (s, t) with t < s strictly -> ConnectingHom, if given
         offset = [0] * skeleton.n
         blocks = []
         n = 0
@@ -201,8 +194,13 @@ class CliffordSemigroup:
             coeffs[start] = c
         self.unit = tuple(coeffs)
         self.canonical_perm = tuple(range(n))
-        # _images[(s, r)][x] = phi_{s,r}(x), the identity map for s = r
+        # _images[(s, r)][x] = phi_{s,r}(x): one zero tuple per block for
+        # the omitted strict pairs, the identity map for s = r
         self._images = {pair: hom.images for pair, hom in homs.items()}
+        for s, group in enumerate(groups):
+            zeros = (0,) * group.order
+            for t in skeleton.strictly_below[s]:
+                self._images.setdefault((s, t), zeros)
         self._images.update(((s, s), range(g.order)) for s, g in enumerate(groups))
 
     @cached_property
@@ -298,13 +296,12 @@ def _triples(skeleton: Semilattice, every_triple=False) -> list:
     return [(r, s, t) for s, r in skeleton.hasse for t in below[s]]
 
 
-def _intransitive(homs: dict, triples):
+def _intransitive(images: dict, triples):
     """The triples (r, s, t) among these at which phi_{s,t} after phi_{r,s}
-    is not phi_{r,t}, for a full system of valid ConnectingHoms.  The maps
-    are compared on the generators of G_r alone, which fix a hom."""
+    is not phi_{r,t}, images[(s, t)] being the image tuple of phi_{s,t}."""
     return ((r, s, t) for r, s, t in triples
-            if _composite_indices(homs[(r, s)], homs[(s, t)])
-            != homs[(r, t)].gen_indices)
+            if tuple(map(images[(s, t)].__getitem__, images[(r, s)]))
+            != images[(r, t)])
 
 
 def hom_systems(skeleton: Semilattice, groups, maps=None):
@@ -350,7 +347,8 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
             # a composite of valid homs is a hom, so the registry holds it
             homs[(s, t)] = registry(groups[s], groups[t])[
                 _composite_indices(homs[(s, r)], homs[(r, t)])]
-        if next(_intransitive(homs, checks), None) is None:
+        if not checks or next(_intransitive(
+                {pair: hom.images for pair, hom in homs.items()}, checks), None) is None:
             yield homs
 
 
@@ -358,9 +356,9 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     """Check the input of a Clifford semigroup and assemble it.
 
     groups: one FiniteAbelianGroup per skeleton element.  homs: mapping
-    (s, t) -> gen_images for strict pairs t < s; omitted pairs get the
-    trivial homomorphism.  Returns the semigroup or a ValidationReport
-    naming the first offending axiom.
+    (s, t) -> gen_images for strict pairs t < s; an omitted pair is the
+    zero map, every element to the identity.  Returns the semigroup or a
+    ValidationReport naming the first offending axiom.
 
     Valid homs in a transitive system over a semilattice always make a
     commutative Clifford semigroup, a strong semilattice of groups whose
@@ -371,7 +369,7 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
     violations = []
     if len(groups) != skeleton.n:
         return ValidationReport(False, [Violation("groups", (len(groups),))])
-    full = {}
+    given = {}
     for (s, t), gen_images in (homs or {}).items():
         if not (0 <= s < skeleton.n and 0 <= t < skeleton.n
                 and t != s and skeleton.down[s] >> t & 1):
@@ -382,20 +380,19 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         if reason is not None:
             violations.append(Violation("hom_invalid", (s, t, reason)))
             continue
-        full[(s, t)] = hom
+        given[(s, t)] = hom
     if violations:
         return ValidationReport(False, violations)
-    for s in range(skeleton.n):
-        for t in skeleton.strictly_below[s]:
-            if (s, t) not in full:
-                full[(s, t)] = ConnectingHom.trivial(groups[s], groups[t])
-    # only a failure through the covers walks every triple, to list the
-    # violations
-    if next(_intransitive(full, _triples(skeleton)), None) is not None:
+    g = CliffordSemigroup(skeleton, groups, given)
+    # zero maps compose to zero: only a cover triple touching a given pair
+    # can fail, and only a failure walks every triple, to list violations
+    touched = ((r, s, t) for r, s, t in _triples(skeleton)
+               if (r, s) in given or (s, t) in given or (r, t) in given)
+    if next(_intransitive(g._images, touched), None) is not None:
         return ValidationReport(False, [
             Violation("hom_transitive", triple)
-            for triple in _intransitive(full, _triples(skeleton, every_triple=True))])
-    return CliffordSemigroup(skeleton, groups, full)
+            for triple in _intransitive(g._images, _triples(skeleton, every_triple=True))])
+    return g
 
 
 def unit_solve(base) -> tuple:

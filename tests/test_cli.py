@@ -17,6 +17,7 @@ from oracles import relabel
 from semiam import cli
 from semiam.diagonal import DiagonalTensor, diagonal_recursive
 from semiam.exactlinalg import rat_str
+from test_clifford import PARTIAL_Z2_CHAIN_IDS, PARTIAL_Z2_CHAINS
 
 SIX_JSON = json.dumps({"table": [list(r) for r in make_six().table]})
 BROOM_JSON = json.dumps({"n": 4, "hasse": [[0, 1], [0, 2], [1, 3]]})
@@ -459,6 +460,36 @@ def test_empty_search_families_exit_2(capsys, argv, axiom, value):
     assert err == ""
 
 
+@pytest.mark.parametrize("value", [11, 10 ** 30])
+def test_spectrum_above_its_size_bound_exits_2(capsys, monkeypatch, value):
+    def refuse(max_size):
+        raise AssertionError("spectrum ran above its size bound")
+
+    monkeypatch.setattr(cli.enumeration, "spectrum", refuse)
+    code, payload, err = run_json(capsys, "spectrum", "--max-size", str(value))
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "max_size", "witness": [value]}],
+    }
+    assert err == ""
+
+
+def test_spectrum_runs_at_its_size_bound(capsys, monkeypatch):
+    # a stub stands in for the catalogue of size 10, which takes over a minute
+    real, asked = cli.enumeration.spectrum, []
+
+    def stub(max_size):
+        asked.append(max_size)
+        return real(1)
+
+    monkeypatch.setattr(cli.enumeration, "spectrum", stub)
+    code, payload, _ = run_json(capsys, "spectrum", "--max-size", "10")
+    assert code == 0
+    assert asked == [10]
+    assert payload["counts"] == [1]
+
+
 def test_smallest_search_families_run(capsys):
     code, payload, _ = run_json(capsys, "spectrum", "--max-size", "1")
     assert code == 0
@@ -520,6 +551,21 @@ def test_clifford_labels_that_print_alike_exit_2(capsys, command, labels, witnes
     assert code == 2
     assert payload["violations"] == [{"axiom": "labels", "witness": witness}]
     assert err == ""
+
+
+@pytest.mark.parametrize("homs, witnesses", PARTIAL_Z2_CHAINS, ids=PARTIAL_Z2_CHAIN_IDS)
+def test_clifford_reads_an_omitted_hom_as_the_zero_map(capsys, homs, witnesses):
+    doc = _chain_z2_doc(
+        skeleton={"n": 3, "hasse": [[0, 1], [1, 2]]}, groups=[[2]] * 3,
+        homs=[{"from": s, "to": t, "gen_images": images} for (s, t), images in homs.items()])
+    code, payload, err = run_json(capsys, "clifford", json.dumps(doc))
+    assert err == ""
+    if witnesses:
+        assert code == 2
+        assert payload["violations"] == [
+            {"axiom": "hom_transitive", "witness": list(w)} for w in witnesses]
+    else:
+        assert code == 0 and payload["ok"] is True
 
 
 def test_malformed_homs_list_exits_2(capsys):

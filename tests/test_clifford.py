@@ -102,14 +102,6 @@ def test_hom_compose_and_same_map():
     assert composite != ConnectingHom(z2, z8, [(0,)]).images
 
 
-def test_trivial_hom_kills_everything():
-    z4 = FiniteAbelianGroup([4])
-    z2 = FiniteAbelianGroup([2])
-    t = ConnectingHom.trivial(z4, z2)
-    assert t.check() is None
-    assert t.images == (0, 0, 0, 0)
-
-
 def test_build_rejects_invalid_hom():
     skel = chain(1)
     # top block Z_4 maps onto bottom Z_2: 4 * 1 = 0 mod 2, fine
@@ -151,6 +143,46 @@ def test_build_rejects_nontransitive_homs():
     v = report.violations[0]
     assert v.axiom == "hom_transitive"
     assert v.witness == (2, 1, 0)
+
+
+def test_omitted_homs_build_no_connecting_hom(monkeypatch):
+    # an omitted pair is the zero map by absence: build_clifford builds one
+    # ConnectingHom per given pair, none for the 45150 omitted ones here
+    built = []
+    real_init = ConnectingHom.__init__
+
+    def init(self, source, target, gen_images):
+        built.append(gen_images)
+        real_init(self, source, target, gen_images)
+
+    monkeypatch.setattr(ConnectingHom, "__init__", init)
+    groups = [FiniteAbelianGroup([1])] * 301
+    assert isinstance(build_clifford(chain(300), groups, {}), CliffordSemigroup)
+    assert built == []
+    homs = {(7, 2): [(0,)], (300, 0): [(0,)]}
+    assert isinstance(build_clifford(chain(300), groups, homs), CliffordSemigroup)
+    assert built == list(homs.values())
+
+
+# systems of non-trivial Z2 maps over chain(2) that omit pairs, with the
+# transitivity witnesses each must be rejected with: an omitted pair is the
+# zero map, so a triple touched at (r, t) alone can fail too
+PARTIAL_Z2_CHAINS = [
+    ({(2, 0): [(1,)]}, [(2, 1, 0)]),
+    ({(2, 1): [(1,)], (1, 0): [(1,)]}, [(2, 1, 0)]),
+    ({(2, 1): [(1,)]}, []),
+]
+PARTIAL_Z2_CHAIN_IDS = ["only (2, 0)", "(2, 1) and (1, 0)", "only (2, 1)"]
+
+
+@pytest.mark.parametrize("homs, witnesses", PARTIAL_Z2_CHAINS, ids=PARTIAL_Z2_CHAIN_IDS)
+def test_omitted_pairs_are_zero_maps_to_the_transitivity_check(homs, witnesses):
+    built = build_clifford(chain(2), [FiniteAbelianGroup([2])] * 3, homs)
+    if witnesses:
+        assert [(v.axiom, v.witness) for v in built.violations] == [
+            ("hom_transitive", w) for w in witnesses]
+    else:
+        assert isinstance(built, CliffordSemigroup)
 
 
 def test_transitivity_compares_reduced_generator_images():
@@ -409,9 +441,8 @@ def reference_intransitive(skeleton, groups, homs):
     full = {}
     for s in range(skeleton.n):
         for t in skeleton.strictly_below[s]:
-            imgs = homs.get((s, t))
-            full[(s, t)] = (ConnectingHom(groups[s], groups[t], imgs) if imgs
-                            else ConnectingHom.trivial(groups[s], groups[t]))
+            zeros = [[0] * len(groups[t].cyclic_orders)] * len(groups[s].cyclic_orders)
+            full[(s, t)] = ConnectingHom(groups[s], groups[t], homs.get((s, t)) or zeros)
     return [(r, s, t)
             for r in range(skeleton.n)
             for s in skeleton.strictly_below[r]

@@ -62,14 +62,16 @@ def trusted_build(skeleton, groups, homs) -> CliffordSemigroup:
 def per_cell_table(g: CliffordSemigroup) -> tuple:
     """The reference: offset[r] + phi_{s,r}(x) + phi_{t,r}(y) for x in
     block s, y in block t and r = s meet t, one cell at a time in digits,
-    with phi mapping each digit d_i of x to d_i * gen_images[i]."""
+    with phi mapping each digit d_i of x to d_i * gen_images[i], and to
+    zero digits where g.homs omits the pair."""
     def push(s, r, x):
         digits = g.groups[s].element(x)
         if s == r:
             return digits
         out = [0] * len(g.groups[r].cyclic_orders)
-        for d, img in zip(digits, g.homs[(s, r)].gen_images):
-            out = [o + d * v for o, v in zip(out, img)]
+        if (s, r) in g.homs:
+            for d, img in zip(digits, g.homs[(s, r)].gen_images):
+                out = [o + d * v for o, v in zip(out, img)]
         return out
 
     table = []
@@ -152,6 +154,20 @@ def test_table_matches_the_per_cell_definition_on_the_gap_family():
     assert len(instances) == 332
     for inst in instances:
         assert_table_is_the_clifford_semigroup(build_instance(inst))
+
+
+def test_table_matches_the_per_cell_definition_where_pairs_are_omitted():
+    # an omitted pair is the zero map: make_g gives no hom at all, and the
+    # Z2 chains give some pairs and leave the others out
+    z2 = FiniteAbelianGroup([2])
+    partial = [build_clifford(chain(2), [z2] * 3, {(2, 1): [(1,)]}),
+               build_clifford(chain(3), [z2] * 4, {(3, 2): [(1,)], (2, 1): [(1,)],
+                                                   (3, 1): [(1,)]})]
+    for g in [make_g(2), make_g(3)] + partial:
+        assert isinstance(g, CliffordSemigroup)
+        assert len(g.homs) < sum(map(len, g.skeleton.strictly_below))
+        assert_table_is_the_clifford_semigroup(g)
+        assert_engines_agree(g)
 
 
 def test_units_are_int_tuples_and_the_clifford_units_solve():

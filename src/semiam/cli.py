@@ -272,9 +272,10 @@ def _require_positive(**bounds):
             raise _fail_invalid(name, value)
 
 
-# The largest spectrum --max-size.  The class count grows about sevenfold
-# per size: spectrum(10) takes 64-87 s and 95 MB in process on a shared
-# 2-CPU Xeon under Python 3.11.7, so 11 would run for many minutes.
+# The largest spectrum --max-size and gap-search --skeleton-max-size: both
+# enumerate every class up to that size.  The class count grows about
+# sevenfold per size: spectrum(10) takes 64-87 s and 95 MB in process on a
+# shared 2-CPU Xeon under Python 3.11.7, so 11 would run for many minutes.
 SPECTRUM_MAX_SIZE = 10
 
 
@@ -289,6 +290,8 @@ def cmd_spectrum(args) -> tuple:
 def cmd_gap_search(args) -> tuple:
     _require_positive(skeleton_max_size=args.skeleton_max_size,
                       max_cyclic_order=args.max_cyclic_order)
+    if args.skeleton_max_size > SPECTRUM_MAX_SIZE:
+        raise _fail_invalid("skeleton_max_size", args.skeleton_max_size)
     try:
         report = enumeration.gap_search(
             skeleton_max_size=args.skeleton_max_size,

@@ -123,12 +123,6 @@ class ConnectingHom:
             place *= m
         return tuple(images)
 
-    @cached_property
-    def gen_indices(self) -> tuple:
-        """The target index of each generator image, digits reduced: two
-        valid homs between the same groups are equal iff these are."""
-        return tuple(map(self.target.index, self.gen_images))
-
     def check(self):
         """None when well defined, else a short reason string.
 
@@ -149,11 +143,6 @@ class ConnectingHom:
 def _kills(a: int, digits, group: FiniteAbelianGroup) -> bool:
     """Whether a times the element of group with these digits is 0."""
     return all(a * d % k == 0 for d, k in zip(digits, group.cyclic_orders))
-
-
-def _composite_indices(first: ConnectingHom, second: ConnectingHom) -> tuple:
-    """The gen_indices of second after first."""
-    return tuple(map(second.images.__getitem__, first.gen_indices))
 
 
 class CliffordSemigroup:
@@ -314,10 +303,11 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
     on every cover triple but these (s, r, t), which hold by construction.
 
     The systems share one ConnectingHom per distinct map: maps[(source,
-    target)] is the registry {gen_indices: hom} of every hom source ->
-    target, built once from hom_choices.  Calls over the same group objects
-    that pass one maps dict share their maps too, so a caller that keeps
-    every system holds each map, and its image tuple, once.
+    target)] is the registry {images: hom} of every hom source -> target,
+    built once from hom_choices: two valid homs are one map iff their image
+    tuples are equal.  Calls over the same group objects that pass one maps
+    dict share their maps too, so a caller that keeps every system holds
+    each map, and its image tuple, once.
     """
     maps = {} if maps is None else maps
 
@@ -326,7 +316,7 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
         if key not in maps:
             homs = (ConnectingHom(source, target, imgs)
                     for imgs in hom_choices(source, target))
-            maps[key] = {hom.gen_indices: hom for hom in homs}
+            maps[key] = {hom.images: hom for hom in homs}
         return maps[key]
 
     cover_pairs = [(b, a) for a, b in skeleton.hasse]  # hom source above
@@ -345,8 +335,8 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
         homs = dict(zip(cover_pairs, combo))
         for s, r, t in composites:
             # a composite of valid homs is a hom, so the registry holds it
-            homs[(s, t)] = registry(groups[s], groups[t])[
-                _composite_indices(homs[(s, r)], homs[(r, t)])]
+            homs[(s, t)] = registry(groups[s], groups[t])[tuple(
+                map(homs[(r, t)].images.__getitem__, homs[(s, r)].images))]
         if not checks or next(_intransitive(
                 {pair: hom.images for pair, hom in homs.items()}, checks), None) is None:
             yield homs

@@ -15,7 +15,7 @@ from .clifford import MAX_ELEMENTS, FiniteAbelianGroup, certified_ams, hom_syste
 from .diagonal import diagonal_recursive
 from .exactlinalg import rat_str
 from .moebius import diagonal_via_mobius
-from .semilattice import Semilattice, _invariant
+from .semilattice import Semilattice, _bits, _invariant
 
 
 def canonical_table(s: Semilattice) -> tuple:
@@ -63,8 +63,10 @@ def enumerate_by_extension(n: int) -> list:
     Removing any maximal element of a semilattice leaves a down-closed
     subsemilattice, so every isomorphism class of size k+1 appears as some
     size-k class extended by one element whose strict down-set is a
-    down-closed D such that D meet down(y) has a maximum for every y.
-    Returns sorted canonical tables.
+    down-closed D such that D meet down(y) has a maximum for every y: the
+    member m whose down-set mask holds all of D meet down(y), which is
+    then the meet of the new element with y.  Returns sorted canonical
+    tables.
     """
     if n < 1:
         return []
@@ -73,7 +75,7 @@ def enumerate_by_extension(n: int) -> list:
         grown = set()
         for table in current:
             s = Semilattice(table)
-            down = [s.down_set(x) for x in range(size)]
+            down = [frozenset(_bits(m)) for m in s.down]
             for mask in _down_closed_masks(s):
                 d = frozenset(x for x in range(size) if mask >> x & 1)
                 meets = []
@@ -82,7 +84,7 @@ def enumerate_by_extension(n: int) -> list:
                     cands = d & down[y]
                     top = None
                     for m in cands:
-                        if all(s.leq[r][m] for r in cands):
+                        if all(s.down[m] >> r & 1 for r in cands):
                             top = m
                             break
                     if top is None:

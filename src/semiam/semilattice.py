@@ -162,11 +162,8 @@ class Semilattice:
         self._mobius = self._unit = None
 
     def _derive(self):
-        n, table = self.n, self.table
-        self.down, self.up = down, up = _order_masks(table)
-        self.leq = tuple(
-            tuple(table[s][t] == s for t in range(n)) for s in range(n)
-        )
+        n = self.n
+        self.down, self.up = down, up = _order_masks(self.table)
         # a finite meet semilattice has a minimum: it lies below everything
         self.minimum = up.index((1 << n) - 1)
         self.strictly_above = tuple(_bits(up[s] ^ 1 << s) for s in range(n))
@@ -209,12 +206,6 @@ class Semilattice:
         start id, the order and the inverse index of each member that
         verify_diagonal reads."""
         return tuple((a, 1, (0,)) for a in range(self.n))
-
-    def down_set(self, s: int) -> frozenset:
-        return frozenset(_bits(self.down[s]))
-
-    def up_set(self, s: int) -> frozenset:
-        return frozenset(_bits(self.up[s]))
 
     def top(self):
         """The maximum element, or None when there is none."""
@@ -325,12 +316,12 @@ def product(a: Semilattice, b: Semilattice):
 
 
 def _invariant(s: Semilattice, x: int) -> tuple:
-    down = s.down_set(x)
-    up = s.up_set(x)
+    down = _bits(s.down[x])
     lower_covers = sum(1 for (a, b) in s.hasse if b == x)
     upper_covers = sum(1 for (a, b) in s.hasse if a == x)
     down_levels = tuple(sorted(s.level[y] for y in down))
-    return (s.level[x], len(down), len(up), lower_covers, upper_covers, down_levels)
+    return (s.level[x], len(down), s.up[x].bit_count(), lower_covers,
+            upper_covers, down_levels)
 
 
 def from_json_dict(obj):

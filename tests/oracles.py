@@ -162,7 +162,7 @@ def schutzenberger(base: Semilattice, coeffs) -> tuple:
     functions under pointwise multiplication.
     """
     return tuple(
-        sum(c for s, c in enumerate(coeffs) if base.leq[t][s])
+        sum(c for s, c in enumerate(coeffs) if base.table[t][s] == t)
         for t in range(base.n)
     )
 
@@ -173,23 +173,24 @@ def schutzenberger_inverse(base: Semilattice, values) -> tuple:
         raise ValueError("value count does not match the base")
     columns = mobius_table(base).columns
     return tuple(
-        sum(columns[s].get(t, 0) * values[s] for s in range(base.n) if base.leq[t][s])
+        sum(columns[s].get(t, 0) * values[s]
+            for s in range(base.n) if base.table[t][s] == t)
         for t in range(base.n)
     )
 
 
 def mobius_by_definition(base: Semilattice) -> dict:
     """{(t, s): mu(t, s)} for every comparable pair t <= s, zeros included,
-    straight from the definition on the order matrix: mu(t, t) = 1, and
+    straight from the definition on the meet table: mu(t, t) = 1, and
     mu(t, s) = -sum of mu(t, r) over the interval t <= r < s, summed from
     below, where MoebiusTable sums from above over its support."""
     mu = {}
     for t in range(base.n):
         # the up-set of t in canonical order: t first, every r < s before s
-        above = [r for r in base.canonical_perm if base.leq[t][r]]
+        above = [r for r in base.canonical_perm if base.table[t][r] == t]
         for i, s in enumerate(above):
             mu[t, s] = 1 if s == t else -sum(
-                mu[t, r] for r in above[:i] if base.leq[r][s])
+                mu[t, r] for r in above[:i] if base.table[r][s] == r)
     return mu
 
 

@@ -243,7 +243,7 @@ def test_inversion_and_verification_properties():
                 total = sum(
                     mu.columns[x].get(t, 0)
                     for x in range(s.n)
-                    if s.leq[t][x] and s.leq[x][r]
+                    if s.table[t][x] == t and s.table[x][r] == x
                 )
                 assert total == (1 if t == r else 0)
     # the down-set indicator map is multiplicative on basis elements:

@@ -490,6 +490,39 @@ def test_spectrum_runs_at_its_size_bound(capsys, monkeypatch):
     assert payload["counts"] == [1]
 
 
+@pytest.mark.parametrize("value", [11, 10 ** 30])
+def test_gap_search_above_the_skeleton_size_bound_exits_2(capsys, monkeypatch, value):
+    # the skeletons are every class up to the size, as in spectrum
+    def refuse(**kwargs):
+        raise AssertionError("gap-search ran above its skeleton size bound")
+
+    monkeypatch.setattr(cli.enumeration, "gap_search", refuse)
+    code, payload, err = run_json(
+        capsys, "gap-search", "--skeleton-max-size", str(value), "--max-cyclic-order", "1")
+    assert code == 2
+    assert payload == {
+        "ok": False,
+        "violations": [{"axiom": "skeleton_max_size", "witness": [value]}],
+    }
+    assert err == ""
+
+
+def test_gap_search_runs_at_the_skeleton_size_bound(capsys, monkeypatch):
+    # a stub stands in for the skeletons of size 10, which take over a minute
+    real, asked = cli.enumeration.gap_search, []
+
+    def stub(skeleton_max_size, max_cyclic_order, instance_limit):
+        asked.append(skeleton_max_size)
+        return real(1, max_cyclic_order, instance_limit)
+
+    monkeypatch.setattr(cli.enumeration, "gap_search", stub)
+    code, payload, _ = run_json(
+        capsys, "gap-search", "--skeleton-max-size", "10", "--max-cyclic-order", "1")
+    assert code == 0
+    assert asked == [10]
+    assert payload["instances"] == 1
+
+
 def test_smallest_search_families_run(capsys):
     code, payload, _ = run_json(capsys, "spectrum", "--max-size", "1")
     assert code == 0

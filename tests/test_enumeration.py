@@ -280,7 +280,7 @@ def test_gap_search_solves_on_the_homs_its_listing_built(monkeypatch):
     for inst in listings[0]:
         runs.add((id(inst.skeleton), id(inst.groups)))
         for hom in inst.homs.values():
-            key = (hom.source, hom.target, hom.gen_indices)
+            key = (hom.source, hom.target, hom.images)
             assert maps.setdefault(key, hom) is hom
     assert len(runs) == 148
     # the listing built 560 homs, and the search 411 more, one per distinct

@@ -85,12 +85,12 @@ def test_inversion_identities():
             for r in range(s.n):
                 total = sum(
                     mu.columns[x].get(t, 0) for x in range(s.n)
-                    if s.leq[t][x] and s.leq[x][r]
+                    if s.table[t][x] == t and s.table[x][r] == x
                 )
                 assert total == (1 if t == r else 0)
                 total = sum(
                     mu.columns[r].get(x, 0) for x in range(s.n)
-                    if s.leq[t][x] and s.leq[x][r]
+                    if s.table[t][x] == t and s.table[x][r] == x
                 )
                 assert total == (1 if t == r else 0)
 
@@ -157,7 +157,7 @@ def test_mobius_pairs_cover_order():
     six = make_six()
     mu = mobius_table(six)
     listed = {(t, s) for t, s, _ in mu.pairs()}
-    assert listed == {(t, s) for t in range(6) for s in range(6) if six.leq[t][s]}
+    assert listed == {(t, s) for t in range(6) for s in range(6) if six.table[t][s] == t}
 
 
 def test_mobius_columns_on_a_long_chain_hold_two_entries():

@@ -11,6 +11,7 @@ from semiam.semilattice import (
     Semilattice,
     ValidationReport,
     _first_nonassociative,
+    _invariant,
     _meets_down_sets,
     chain,
     check_table,
@@ -459,6 +460,15 @@ def test_order_data_matches_its_definitions():
         assert {key: getattr(s, key) for key in expected} == expected
         assert s.top() == top
         assert s.height == len(s.ideal_chain) - 1
+        # the invariant that fixes the canonical form: level, down-set and
+        # up-set sizes, lower and upper cover counts, levels of the down-set
+        level, covers, n = expected["level"], expected["hasse"], s.n
+        assert [_invariant(s, x) for x in range(n)] == [
+            (level[x], sum(s.table[r][x] == r for r in range(n)),
+             sum(s.table[x][t] == x for t in range(n)),
+             sum(b == x for _, b in covers), sum(a == x for a, _ in covers),
+             tuple(sorted(level[r] for r in range(n) if s.table[r][x] == r)))
+            for x in range(n)]
 
 
 def test_order_data_at_scale_matches_closed_forms():
@@ -526,22 +536,15 @@ def test_product_of_two_chains_is_diamond():
 
 
 def test_down_sets_six(six):
-    down = tuple(six.down_set(x) for x in range(six.n))
-    assert down == (
-        frozenset({0}),
-        frozenset({0, 1}),
-        frozenset({0, 2}),
-        frozenset({0, 1, 2, 3}),
-        frozenset({0, 4}),
-        frozenset({0, 1, 2, 3, 4, 5}),
-    )
+    down = six.down
+    assert down == (0b1, 0b11, 0b101, 0b1111, 0b10001, 0b111111)
     # intersections of images are images of meets
     assert down[3] & down[4] == down[0]
 
 
 def test_down_sets_injective_and_meet_compatible():
     for s in [chain(3), flat(3), flat_with_top(3), power_set(3), make_six()]:
-        down = tuple(s.down_set(x) for x in range(s.n))
+        down = s.down
         assert len(set(down)) == s.n
         for a in range(s.n):
             for b in range(s.n):

@@ -22,8 +22,8 @@ from .semilattice import Semilattice, ValidationReport, Violation, _is_int
 # certificate work grow as n^2 to n^3.  At 510 elements `semiam clifford`
 # takes 1.75-1.85 s on the slowest accepted shape found, a chain of trivial
 # blocks (over a third in the certificate's zeta lift, a quarter in
-# validate), 0.39-0.41 s on flat_with_top(510) and 2.3-2.8 s to reject a Z2
-# chain of 256 with one bad triple: 3 runs each, 2-CPU Xeon, Python 3.11.7.
+# validate), 0.39-0.41 s on flat_with_top(510) and 0.66-0.78 s to reject a
+# Z2 chain of 256 with one bad triple: 3 runs each, 2-CPU Xeon, Python 3.11.7.
 MAX_ELEMENTS = 512
 
 
@@ -41,7 +41,7 @@ class FiniteAbelianGroup:
     Elements are indexed 0..order-1 in lexicographic digit order, so the
     identity (all zeros) is index 0.  A group keeps its inverses once they
     are asked for, and nothing else per element: each Clifford semigroup
-    builds its own block addition tables, and each hom its own image tuple.
+    builds its own block addition tables, and a hom is its own image tuple.
     """
 
     def __init__(self, cyclic_orders):
@@ -82,62 +82,55 @@ class FiniteAbelianGroup:
             digits.append(d)
         return tuple(reversed(digits))
 
-    def index(self, digits) -> int:
-        i = 0
-        for d, k in zip(digits, self.cyclic_orders):
-            i = i * k + d % k
-        return i
-
     def __repr__(self):
         return f"FiniteAbelianGroup{self.cyclic_orders}"
 
 
-class ConnectingHom:
-    """Homomorphism between two finite abelian groups, by generator images.
+def hom_images(source: FiniteAbelianGroup, target: FiniteAbelianGroup, gen_images) -> tuple:
+    """images[x] is the target index of the image of source element x under
+    the hom that sends the i-th cyclic generator of source to the target
+    digits gen_images[i]; it means something once hom_violation passes."""
+    # digit j of the image of source element (d, rest) is d times digit j
+    # of the first generator's image plus digit j of rest's image, mod the
+    # j-th target order: grow each digit column from the last source
+    # factor, then add it in at its place value in the target index
+    images = [0] * source.order
+    place = 1
+    for j, m in reversed(tuple(enumerate(target.cyclic_orders))):
+        column = [0]
+        for k, img in zip(reversed(source.cyclic_orders), reversed(gen_images)):
+            v = img[j]
+            column = [(d * v + w) % m for d in range(k) for w in column]
+        images = [i + place * c for i, c in zip(images, column)]
+        place *= m
+    return tuple(images)
 
-    gen_images[i] is the digit tuple in the target that the i-th cyclic
-    generator of the source maps to.
-    """
 
-    def __init__(self, source: FiniteAbelianGroup, target: FiniteAbelianGroup, gen_images):
-        self.source = source
-        self.target = target
-        self.gen_images = tuple(tuple(map(int, img)) for img in gen_images)
+def hom_violation(source: FiniteAbelianGroup, target: FiniteAbelianGroup, gen_images):
+    """None when gen_images defines a homomorphism source -> target, else a
+    short reason string.  The only constraint: the image of a generator of
+    order a must have order dividing a, i.e. a * image = 0 in the target."""
+    for img in gen_images:
+        if len(img) != len(target.cyclic_orders):
+            return "image tuple length"
+    if len(gen_images) != len(source.cyclic_orders):
+        return "one image per source generator"
+    for i, (a, img) in enumerate(zip(source.cyclic_orders, gen_images)):
+        if not _kills(a, img, target):
+            return f"generator {i} image order"
+    return None
 
-    @cached_property
-    def images(self) -> tuple:
-        """images[x] is the target index of the image of source element x;
-        it means something only once check() passes."""
-        # digit j of the image of source element (d, rest) is d times digit
-        # j of the first generator's image plus digit j of rest's image, mod
-        # the j-th target order: grow each digit column from the last source
-        # factor, then add it in at its place value in the target index
-        images = [0] * self.source.order
-        place = 1
-        for j, m in reversed(tuple(enumerate(self.target.cyclic_orders))):
-            column = [0]
-            for k, img in zip(reversed(self.source.cyclic_orders), reversed(self.gen_images)):
-                v = img[j]
-                column = [(d * v + w) % m for d in range(k) for w in column]
-            images = [i + place * c for i, c in zip(images, column)]
-            place *= m
-        return tuple(images)
 
-    def check(self):
-        """None when well defined, else a short reason string.
-
-        The only constraint: the image of a generator of order a must have
-        order dividing a, i.e. a * image = 0 in the target.
-        """
-        for img in self.gen_images:
-            if len(img) != len(self.target.cyclic_orders):
-                return "image tuple length"
-        if len(self.gen_images) != len(self.source.cyclic_orders):
-            return "one image per source generator"
-        for i, (a, img) in enumerate(zip(self.source.cyclic_orders, self.gen_images)):
-            if not _kills(a, img, self.target):
-                return f"generator {i} image order"
-        return None
+def generator_images(source: FiniteAbelianGroup, target: FiniteAbelianGroup, images) -> tuple:
+    """The gen_images of the homomorphism with this image tuple: the target
+    digits of the image of each cyclic generator of source.  The generator
+    of a factor of order 1 is the identity, index 0."""
+    gens = []
+    place = source.order
+    for k in source.cyclic_orders:
+        place //= k
+        gens.append(target.element(images[1 % k * place]))
+    return tuple(gens)
 
 
 def _kills(a: int, digits, group: FiniteAbelianGroup) -> bool:
@@ -153,16 +146,18 @@ class CliffordSemigroup:
     the canonical order for diagonal matrices; the block offsets are the
     ids of the block identities.  The constructor derives the offsets, the
     blocks and the lifted unit, which verify_diagonal reads, and nothing
-    per element; the rest is derived on first use.  It checks nothing:
-    homs, which the semigroup keeps as given, must map strict pairs to
-    valid ConnectingHoms of a transitive system, in which an omitted pair
-    is the zero map, as build_clifford and hom_systems make sure.
+    per element or per pair; the rest is derived on first use.  It checks
+    nothing: homs, which the semigroup keeps as given, must map strict
+    pairs t < s to the image tuples of valid homs of a transitive system,
+    as build_clifford and hom_systems make sure.  Every map is read
+    through push, where an omitted pair is the zero map.
     """
 
     def __init__(self, skeleton: Semilattice, groups, homs):
         self.skeleton = skeleton
         self.groups = groups = tuple(groups)
-        self.homs = homs  # (s, t) with t < s strictly -> ConnectingHom, if given
+        self.homs = homs  # (s, t) with t < s strictly -> image tuple, if given
+        self._zeros = tuple((0,) * g.order for g in groups)  # zero map out of each block
         offset = [0] * skeleton.n
         blocks = []
         n = 0
@@ -183,14 +178,14 @@ class CliffordSemigroup:
             coeffs[start] = c
         self.unit = tuple(coeffs)
         self.canonical_perm = tuple(range(n))
-        # _images[(s, r)][x] = phi_{s,r}(x): one zero tuple per block for
-        # the omitted strict pairs, the identity map for s = r
-        self._images = {pair: hom.images for pair, hom in homs.items()}
-        for s, group in enumerate(groups):
-            zeros = (0,) * group.order
-            for t in skeleton.strictly_below[s]:
-                self._images.setdefault((s, t), zeros)
-        self._images.update(((s, s), range(g.order)) for s, g in enumerate(groups))
+
+    def push(self, e: int, f: int):
+        """phi_{e,f} for f <= e, as its image tuple: push(e, f)[x] is the
+        index in block f of the image of element x of block e.  The identity
+        for e = f, the given map, else the shared zero map of block e."""
+        if e == f:
+            return range(self.groups[e].order)
+        return self.homs.get((e, f), self._zeros[e])
 
     @cached_property
     def table(self) -> tuple:
@@ -208,7 +203,7 @@ class CliffordSemigroup:
             plan = []
             for sy in blocks:
                 r = meets[sy]
-                plan.append((sums[r], self._images[(sx, r)], self._images[(sy, r)]))
+                plan.append((sums[r], self.push(sx, r), self.push(sy, r)))
             for gx in range(self.groups[sx].order):
                 row = []
                 for block_sums, push_x, push_y in plan:
@@ -252,10 +247,12 @@ class CliffordSemigroup:
         pushes(x), the transform verify_diagonal lifts by."""
         preimages = [[] for _ in range(self.n)]
         offset = self.offset
-        for (e, f), images in self._images.items():
-            source, target = offset[e], offset[f]
-            for x, y in enumerate(images):
-                preimages[target + y].append(source + x)
+        for e, below in enumerate(self.skeleton.strictly_below):
+            source = offset[e]
+            for f in (e,) + below:
+                target = offset[f]
+                for x, y in enumerate(self.push(e, f)):
+                    preimages[target + y].append(source + x)
         return preimages
 
     def __repr__(self):
@@ -265,13 +262,13 @@ class CliffordSemigroup:
 def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> list:
     """Every gen_images tuple of a homomorphism source -> target, in the
     lexicographic order of the target's digit tuples: each generator, of
-    order a, takes any image that a kills, as ConnectingHom.check asks."""
+    order a, takes any image that a kills, as hom_violation asks."""
     digits = [target.element(x) for x in range(target.order)]
     return list(product(*([img for img in digits if _kills(a, img, target)]
                           for a in source.cyclic_orders)))
 
 
-def _triples(skeleton: Semilattice, every_triple=False) -> list:
+def _triples(skeleton: Semilattice, every_triple=False):
     """The triples (r, s, t), t < s < r, that a transitivity check tries.
 
     Only lower covers s of r are listed unless every_triple is set:
@@ -280,47 +277,44 @@ def _triples(skeleton: Semilattice, every_triple=False) -> list:
     """
     below = skeleton.strictly_below
     if every_triple:
-        return [(r, s, t) for r in range(skeleton.n)
-                for s in below[r] for t in below[s]]
-    return [(r, s, t) for s, r in skeleton.hasse for t in below[s]]
+        return ((r, s, t) for r in range(skeleton.n)
+                for s in below[r] for t in below[s])
+    return ((r, s, t) for s, r in skeleton.hasse for t in below[s])
 
 
-def _intransitive(images: dict, triples):
+def _intransitive(push, triples):
     """The triples (r, s, t) among these at which phi_{s,t} after phi_{r,s}
-    is not phi_{r,t}, images[(s, t)] being the image tuple of phi_{s,t}."""
+    is not phi_{r,t}, push(s, t) being the image tuple of phi_{s,t}."""
     return ((r, s, t) for r, s, t in triples
-            if tuple(map(images[(s, t)].__getitem__, images[(r, s)]))
-            != images[(r, t)])
+            if tuple(map(push(s, t).__getitem__, push(r, s))) != push(r, t))
 
 
 def hom_systems(skeleton: Semilattice, groups, maps=None):
-    """Every transitive hom system over the skeleton, as {(s, t):
-    ConnectingHom} for all strict pairs t < s.
+    """Every transitive hom system over the skeleton, as {(s, t): image
+    tuple} for all strict pairs t < s.
 
     Each cover pair takes a free choice from hom_choices; each longer pair
     (s, t) is the composite through the first lower cover r of s above t.  A
     system is kept when it passes the transitivity check of build_clifford
     on every cover triple but these (s, r, t), which hold by construction.
 
-    The systems share one ConnectingHom per distinct map: maps[(source,
-    target)] is the registry {images: hom} of every hom source -> target,
-    built once from hom_choices: two valid homs are one map iff their image
-    tuples are equal.  Calls over the same group objects that pass one maps
-    dict share their maps too, so a caller that keeps every system holds
-    each map, and its image tuple, once.
+    The systems share one image tuple per distinct map: maps[(source,
+    target)] is the registry {images: images} that interns the image tuple
+    of every hom source -> target, built once from hom_choices: two valid
+    homs are one map iff their image tuples are equal.  Calls over the same
+    group objects that pass one maps dict share their maps too, so a caller
+    that keeps every system holds each map once.
     """
     maps = {} if maps is None else maps
 
     def registry(source, target):
-        key = (source, target)
-        if key not in maps:
-            homs = (ConnectingHom(source, target, imgs)
-                    for imgs in hom_choices(source, target))
-            maps[key] = {hom.images: hom for hom in homs}
-        return maps[key]
+        if (source, target) not in maps:
+            maps[source, target] = {images: images for images in (
+                hom_images(source, target, imgs) for imgs in hom_choices(source, target))}
+        return maps[source, target]
 
     cover_pairs = [(b, a) for a, b in skeleton.hasse]  # hom source above
-    choice_lists = [registry(groups[s], groups[t]).values() for s, t in cover_pairs]
+    choice_lists = [registry(groups[s], groups[t]) for s, t in cover_pairs]
     # composites in canonical order, lowest level first, so that (r, t) is
     # set before the composite (s, t) through the lower cover r needs it
     composites = []
@@ -336,9 +330,9 @@ def hom_systems(skeleton: Semilattice, groups, maps=None):
         for s, r, t in composites:
             # a composite of valid homs is a hom, so the registry holds it
             homs[(s, t)] = registry(groups[s], groups[t])[tuple(
-                map(homs[(r, t)].images.__getitem__, homs[(s, r)].images))]
+                map(homs[(r, t)].__getitem__, homs[(s, r)]))]
         if not checks or next(_intransitive(
-                {pair: hom.images for pair, hom in homs.items()}, checks), None) is None:
+                lambda e, f: homs[(e, f)], checks), None) is None:
             yield homs
 
 
@@ -347,8 +341,9 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
 
     groups: one FiniteAbelianGroup per skeleton element.  homs: mapping
     (s, t) -> gen_images for strict pairs t < s; an omitted pair is the
-    zero map, every element to the identity.  Returns the semigroup or a
-    ValidationReport naming the first offending axiom.
+    zero map, every element to the identity.  Returns the semigroup, which
+    holds the image tuple of each given hom and nothing for an omitted
+    pair, or a ValidationReport naming the first offending axiom.
 
     Valid homs in a transitive system over a semilattice always make a
     commutative Clifford semigroup, a strong semilattice of groups whose
@@ -365,23 +360,25 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
                 and t != s and skeleton.down[s] >> t & 1):
             violations.append(Violation("hom_pair", (s, t)))
             continue
-        hom = ConnectingHom(groups[s], groups[t], gen_images)
-        reason = hom.check()
+        reason = hom_violation(groups[s], groups[t], gen_images)
         if reason is not None:
             violations.append(Violation("hom_invalid", (s, t, reason)))
             continue
-        given[(s, t)] = hom
+        given[(s, t)] = hom_images(groups[s], groups[t], gen_images)
     if violations:
         return ValidationReport(False, violations)
     g = CliffordSemigroup(skeleton, groups, given)
-    # zero maps compose to zero: only a cover triple touching a given pair
-    # can fail, and only a failure walks every triple, to list violations
-    touched = ((r, s, t) for r, s, t in _triples(skeleton)
-               if (r, s) in given or (s, t) in given or (r, t) in given)
-    if next(_intransitive(g._images, touched), None) is not None:
+
+    def failures(every_triple=False):
+        # zero maps compose to zero: only a triple touching a given pair
+        # can fail.  Cover triples decide; only a failure walks every triple
+        return _intransitive(g.push, (
+            (r, s, t) for r, s, t in _triples(skeleton, every_triple)
+            if (r, s) in given or (s, t) in given or (r, t) in given))
+
+    if next(failures(), None) is not None:
         return ValidationReport(False, [
-            Violation("hom_transitive", triple)
-            for triple in _intransitive(g._images, _triples(skeleton, every_triple=True))])
+            Violation("hom_transitive", triple) for triple in failures(every_triple=True)])
     return g
 
 
@@ -421,7 +418,7 @@ def diagonal_closed_form(g: CliffordSemigroup) -> DiagonalTensor:
         copies = [[] for _ in inverses]
         for f, m in columns[e].items():
             start = g.offset[f]
-            for copy, y in zip(copies, g._images[(e, f)]):
+            for copy, y in zip(copies, g.push(e, f)):
                 copy.append((start + y, m))
         terms += [(group.order, copy, copies[y]) for copy, y in zip(copies, inverses)]
     return closed_form(g, terms)
@@ -444,11 +441,11 @@ def unit_and_diagonal(g: CliffordSemigroup) -> tuple:
 
 def certified_ams(instances):
     """Yield the AM of each instance from unit_and_diagonal, checking
-    nothing: an instance has a skeleton, groups and homs, {(s, t):
-    ConnectingHom} of a valid transitive system, as hom_systems lists them.
-    The homs are used as they come, so a map the listing shares is built,
-    and its image tuple computed, once; so is the inverse tuple of a group
-    object the instances share.
+    nothing: an instance has a skeleton, groups and homs, {(s, t): image
+    tuple} of a valid transitive system, as hom_systems lists them.  The
+    homs are used as they come, so an image tuple the listing shares is
+    computed once; so is the inverse tuple of a group object the instances
+    share.
     """
     for inst in instances:
         g = CliffordSemigroup(inst.skeleton, inst.groups, inst.homs)

@@ -11,7 +11,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .clifford import MAX_ELEMENTS, FiniteAbelianGroup, certified_ams, hom_systems
+from .clifford import (MAX_ELEMENTS, FiniteAbelianGroup, certified_ams, generator_images,
+                       hom_systems)
 from .diagonal import diagonal_recursive
 from .exactlinalg import rat_str
 from .moebius import diagonal_via_mobius
@@ -184,9 +185,9 @@ def spectrum(max_size: int) -> SpectrumReport:
 
 class GapInstance:
     """One search instance: a skeleton, one cyclic group per element, and
-    homs[(s, t)], the ConnectingHom for every strict pair t < s, as
-    hom_systems lists and shares them.  gap_search sets am once it is
-    solved."""
+    homs[(s, t)], the image tuple of the hom for every strict pair t < s,
+    as hom_systems lists and shares them.  The JSON form gives each hom by
+    its generator images.  gap_search sets am once it is solved."""
 
     __slots__ = ("skeleton", "groups", "homs", "am")
 
@@ -201,8 +202,9 @@ class GapInstance:
             "skeleton_table": [list(r) for r in self.skeleton.table],
             "orders": [g.order for g in self.groups],
             "homs": [
-                {"from": s, "to": t, "gen_images": [list(i) for i in hom.gen_images]}
-                for (s, t), hom in sorted(self.homs.items())
+                {"from": s, "to": t, "gen_images": [
+                    list(i) for i in generator_images(self.groups[s], self.groups[t], images)]}
+                for (s, t), images in sorted(self.homs.items())
             ],
             "size": sum(g.order for g in self.groups),
             "am": None if self.am is None else rat_str(self.am),
@@ -273,7 +275,7 @@ def gap_instances(skeleton_max_size: int = 3, max_cyclic_order: int = 4,
 
     Z_k is built once, when the first order tuple holding k comes up, and
     every instance over the same order tuple shares one groups tuple.  The
-    instances share one ConnectingHom per distinct map of the family.
+    instances share one image tuple per distinct map of the family.
     """
     cyclic = {}
     maps = {}

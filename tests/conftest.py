@@ -1,6 +1,6 @@
 import pytest
 
-from semiam.clifford import CliffordSemigroup, FiniteAbelianGroup, build_clifford
+from semiam.clifford import CliffordSemigroup, FiniteAbelianGroup, build_clifford, generator_images
 from semiam.semilattice import Semilattice, from_hasse
 
 SIX_COVERS = [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 5), (4, 5)]
@@ -14,10 +14,11 @@ def make_six() -> Semilattice:
     return s
 
 
-def images_of(homs) -> dict:
-    """{(s, t): gen_images} of a system of ConnectingHoms, as hom_systems
-    lists them: the form build_clifford takes."""
-    return {pair: hom.gen_images for pair, hom in homs.items()}
+def images_of(groups, homs) -> dict:
+    """{(s, t): gen_images} of a system of image tuples over these groups,
+    as hom_systems lists them: the form build_clifford takes."""
+    return {(s, t): generator_images(groups[s], groups[t], images)
+            for (s, t), images in homs.items()}
 
 
 def make_g(n: int) -> CliffordSemigroup:

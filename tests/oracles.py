@@ -3,10 +3,10 @@
 Two enumeration strategies that back up enumerate_by_extension,
 relabelling and an isomorphism search, the diagonal of a product built
 from its factors, the down-set (Schutzenberger) transform with its
-Moebius inverse, and the reference verifier, which walks the defining
-equations of a diagonal on the multiplication table.  Elements
-of the algebra are coefficient tuples indexed by element id, as the unit
-is in the library.
+Moebius inverse, the index of a group element from its digits, and the
+reference verifier, which walks the defining equations of a diagonal on
+the multiplication table.  Elements of the algebra are coefficient tuples
+indexed by element id, as the unit is in the library.
 """
 
 from fractions import Fraction
@@ -147,6 +147,13 @@ def tensor_diagonal(da: DiagonalTensor, db: DiagonalTensor) -> DiagonalTensor:
                     if v2:
                         target[h1 * nb + h2] = v1 * v2
     return DiagonalTensor(base, rows, da.den * db.den)
+
+
+def digits_index(group, digits) -> int:
+    """The index of the element of group with these digits, each reduced
+    mod its cyclic order, found by search over group.element."""
+    reduced = tuple(d % k for d, k in zip(digits, group.cyclic_orders))
+    return next(i for i in range(group.order) if group.element(i) == reduced)
 
 
 def point_mass(base, s: int) -> tuple:

@@ -7,12 +7,12 @@ from math import prod
 import pytest
 
 from conftest import make_g, make_six
+from oracles import digits_index
 import semiam.clifford as clifford_mod
 import semiam.semilattice as semilattice_mod
 from semiam.clifford import (
     MAX_ELEMENTS,
     CliffordSemigroup,
-    ConnectingHom,
     DiagonalSolveError,
     FiniteAbelianGroup,
     NotUnitalError,
@@ -20,8 +20,11 @@ from semiam.clifford import (
     collapse,
     diagonal_solve,
     from_json_dict,
+    generator_images,
     hom_choices,
+    hom_images,
     hom_systems,
+    hom_violation,
     unit_solve,
 )
 from semiam.diagonal import DiagonalTensor, diagonal_recursive, verify_diagonal
@@ -55,7 +58,8 @@ def test_group_structure():
     assert klein.order == 4
     assert klein.element(3) == (1, 1)
     sums = klein.sum_table(0)
-    assert sums[klein.index((1, 0))][klein.index((0, 1))] == klein.index((1, 1))
+    assert sums[digits_index(klein, (1, 0))][digits_index(klein, (0, 1))] == digits_index(
+        klein, (1, 1))
     for x in range(4):
         assert sums[x][x] == 0
     assert klein.sum_table(10)[1][2] == 10 + sums[1][2]
@@ -71,11 +75,9 @@ def test_group_rejects_bad_orders():
 def test_hom_validity_depends_on_orders():
     z2 = FiniteAbelianGroup([2])
     z4 = FiniteAbelianGroup([4])
-    ok = ConnectingHom(z2, z4, [(2,)])
-    assert ok.check() is None
-    assert ok.images[1] == 2
-    bad = ConnectingHom(z2, z4, [(1,)])
-    assert bad.check() is not None
+    assert hom_violation(z2, z4, [(2,)]) is None
+    assert hom_images(z2, z4, [(2,)])[1] == 2
+    assert hom_violation(z2, z4, [(1,)]) is not None
 
 
 def test_hom_count_is_gcd_per_generator():
@@ -84,7 +86,7 @@ def test_hom_count_is_gcd_per_generator():
     valid = [
         img
         for img in range(4)
-        if ConnectingHom(z6, z4, [(img,)]).check() is None
+        if hom_violation(z6, z4, [(img,)]) is None
     ]
     # images of an order-6 generator must be killed by 6 in Z_4: gcd(6,4)=2
     assert valid == [0, 2]
@@ -94,12 +96,12 @@ def test_hom_compose_and_same_map():
     z2 = FiniteAbelianGroup([2])
     z4 = FiniteAbelianGroup([4])
     z8 = FiniteAbelianGroup([8])
-    f = ConnectingHom(z2, z4, [(2,)])
-    g = ConnectingHom(z4, z8, [(2,)])
-    composite = tuple(g.images[y] for y in f.images)
+    f = hom_images(z2, z4, [(2,)])
+    g = hom_images(z4, z8, [(2,)])
+    composite = tuple(g[y] for y in f)
     assert composite[1] == 4
-    assert composite == ConnectingHom(z2, z8, [(4,)]).images
-    assert composite != ConnectingHom(z2, z8, [(0,)]).images
+    assert composite == hom_images(z2, z8, [(4,)])
+    assert composite != hom_images(z2, z8, [(0,)])
 
 
 def test_build_rejects_invalid_hom():
@@ -146,22 +148,55 @@ def test_build_rejects_nontransitive_homs():
 
 
 def test_omitted_homs_build_no_connecting_hom(monkeypatch):
-    # an omitted pair is the zero map by absence: build_clifford builds one
-    # ConnectingHom per given pair, none for the 45150 omitted ones here
+    # an omitted pair is the zero map by absence: build_clifford computes
+    # one image tuple per given pair, none for the 45150 omitted ones here
     built = []
-    real_init = ConnectingHom.__init__
+    real = clifford_mod.hom_images
 
-    def init(self, source, target, gen_images):
+    def counted(source, target, gen_images):
         built.append(gen_images)
-        real_init(self, source, target, gen_images)
+        return real(source, target, gen_images)
 
-    monkeypatch.setattr(ConnectingHom, "__init__", init)
+    monkeypatch.setattr(clifford_mod, "hom_images", counted)
     groups = [FiniteAbelianGroup([1])] * 301
     assert isinstance(build_clifford(chain(300), groups, {}), CliffordSemigroup)
     assert built == []
     homs = {(7, 2): [(0,)], (300, 0): [(0,)]}
     assert isinstance(build_clifford(chain(300), groups, homs), CliffordSemigroup)
     assert built == list(homs.values())
+
+
+def test_a_semigroup_without_homs_holds_nothing_per_pair():
+    # chain(510) has 130 305 strict pairs: with no hom given, the semigroup
+    # holds no map, and every push off the diagonal is its block's zero map
+    g = build_clifford(chain(509), [FiniteAbelianGroup([1])] * 510, {})
+    assert isinstance(g, CliffordSemigroup)
+    assert g.homs == {}
+    sizes = [len(v) for v in vars(g).values() if isinstance(v, (tuple, list, dict))]
+    assert max(sizes) == g.n == 510
+    assert g.push(509, 0) == (0,) and g.push(7, 7) == range(1)
+
+
+def test_a_reject_composes_only_the_triples_that_touch_a_given_pair(monkeypatch):
+    # Z2 chains of n + 1 blocks with one bad cover triple, (2, 1, 0): the
+    # reject lists every failing triple, but composes only the 2n - 3 that
+    # touch (2, 1) or (1, 0), and the cover walk before it one, not the
+    # n^3 / 6 triples of the chain
+    pushes = []
+    real = CliffordSemigroup.push
+
+    def push(self, e, f):
+        pushes.append((e, f))
+        return real(self, e, f)
+
+    monkeypatch.setattr(CliffordSemigroup, "push", push)
+    homs = {(2, 1): [(1,)], (1, 0): [(1,)]}
+    for n in (20, 40):
+        pushes.clear()
+        report = build_clifford(chain(n), [FiniteAbelianGroup([2])] * (n + 1), homs)
+        assert [(v.axiom, v.witness) for v in report.violations] == [
+            ("hom_transitive", (2, 1, 0))]
+        assert len(pushes) == 3 * (2 * n - 2)
 
 
 # systems of non-trivial Z2 maps over chain(2) that omit pairs, with the
@@ -394,11 +429,6 @@ def test_labels_and_blocks():
 TABLE_ORDERS = [(2,), (6,), (2, 2), (2, 4), (3, 3)]
 
 
-def digits_index(group, digits):
-    reduced = tuple(d % k for d, k in zip(digits, group.cyclic_orders))
-    return next(i for i in range(group.order) if group.element(i) == reduced)
-
-
 @pytest.mark.parametrize("orders", TABLE_ORDERS, ids=str)
 def test_group_tables_are_digitwise_modular_arithmetic(orders):
     group = FiniteAbelianGroup(orders)
@@ -406,7 +436,7 @@ def test_group_tables_are_digitwise_modular_arithmetic(orders):
     assert group.order == len(sums) == len(inverses)
     for x in range(group.order):
         a = group.element(x)
-        assert group.index(a) == x
+        assert digits_index(group, a) == x
         assert group.element(inverses[x]) == tuple(
             -d % k for d, k in zip(a, orders))
         assert len(sums[x]) == group.order
@@ -424,15 +454,32 @@ def test_hom_images_follow_the_digit_formula():
         for target in groups:
             choices = hom_choices(source, target)
             for imgs in rng.sample(choices, min(4, len(choices))):
-                hom = ConnectingHom(source, target, imgs)
-                assert hom.check() is None
+                assert hom_violation(source, target, imgs) is None
                 expected = []
                 for x in range(source.order):
                     out = [0] * len(target.cyclic_orders)
                     for d, img in zip(source.element(x), imgs):
                         out = [o + d * v for o, v in zip(out, img)]
                     expected.append(digits_index(target, out))
-                assert hom.images == tuple(expected)
+                assert hom_images(source, target, imgs) == tuple(expected)
+
+
+# Z1 and order-1 factors included: the generator of Z1 has index 0
+ROUND_TRIP_ORDERS = [(1,), (2,), (4,), (6,), (2, 2), (2, 4), (3, 3), (1, 2), (2, 1, 3)]
+
+
+def test_generator_images_reads_back_every_listed_hom():
+    # gap-search prints generator images only for a violation, which the
+    # default family never has: no output pin covers generator_images
+    groups = [FiniteAbelianGroup(orders) for orders in ROUND_TRIP_ORDERS]
+    checked = 0
+    for source in groups:
+        for target in groups:
+            for imgs in hom_choices(source, target):
+                images = hom_images(source, target, imgs)
+                assert generator_images(source, target, images) == imgs
+                checked += 1
+    assert checked == 380
 
 
 def reference_intransitive(skeleton, groups, homs):
@@ -442,13 +489,12 @@ def reference_intransitive(skeleton, groups, homs):
     for s in range(skeleton.n):
         for t in skeleton.strictly_below[s]:
             zeros = [[0] * len(groups[t].cyclic_orders)] * len(groups[s].cyclic_orders)
-            full[(s, t)] = ConnectingHom(groups[s], groups[t], homs.get((s, t)) or zeros)
+            full[(s, t)] = hom_images(groups[s], groups[t], homs.get((s, t)) or zeros)
     return [(r, s, t)
             for r in range(skeleton.n)
             for s in skeleton.strictly_below[r]
             for t in skeleton.strictly_below[s]
-            if tuple(full[(s, t)].images[y] for y in full[(r, s)].images)
-            != full[(r, t)].images]
+            if tuple(full[(s, t)][y] for y in full[(r, s)]) != full[(r, t)]]
 
 
 def test_transitivity_violations_match_the_full_walk():
@@ -494,7 +540,8 @@ def test_hom_systems_are_exactly_the_assignments_build_clifford_accepts():
                 accepted = {combo for combo in product(*choices) if isinstance(
                     build_clifford(skeleton, groups, dict(zip(pairs, combo))),
                     CliffordSemigroup)}
-                listed = [tuple(homs[pair].gen_images for pair in pairs)
+                listed = [tuple(generator_images(groups[s], groups[t], homs[(s, t)])
+                                for s, t in pairs)
                           for homs in hom_systems(skeleton, groups)]
                 assert len(set(listed)) == len(listed)
                 assert set(listed) == accepted

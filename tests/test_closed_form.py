@@ -42,36 +42,36 @@ from semiam.semilattice import (
     power_set,
 )
 
-from oracles import first_failing_equation
+from oracles import digits_index, first_failing_equation
 from test_cli import D_SIX_ROWS, G2_JSON
 from test_clifford import G2_MATRIX
 
 
 def build_instance(inst) -> CliffordSemigroup:
-    g = build_clifford(inst.skeleton, inst.groups, images_of(inst.homs))
+    g = build_clifford(inst.skeleton, inst.groups, images_of(inst.groups, inst.homs))
     assert isinstance(g, CliffordSemigroup)
     return g
 
 
 def trusted_build(skeleton, groups, homs) -> CliffordSemigroup:
-    """The build certified_ams runs: the semigroup over the ConnectingHoms
+    """The build certified_ams runs: the semigroup over the image tuples
     that hom_systems lists, with none of build_clifford's checks."""
     return CliffordSemigroup(skeleton, groups, homs)
 
 
-def per_cell_table(g: CliffordSemigroup) -> tuple:
+def per_cell_table(g: CliffordSemigroup, gen_images: dict) -> tuple:
     """The reference: offset[r] + phi_{s,r}(x) + phi_{t,r}(y) for x in
     block s, y in block t and r = s meet t, one cell at a time in digits,
-    with phi mapping each digit d_i of x to d_i * gen_images[i], and to
-    zero digits where g.homs omits the pair."""
+    with phi mapping each digit d_i of x to d_i * gen_images[(s, r)][i],
+    the generator digits g was built from, and to zero digits where
+    gen_images omits the pair.  It reads no image tuple of g."""
     def push(s, r, x):
         digits = g.groups[s].element(x)
         if s == r:
             return digits
         out = [0] * len(g.groups[r].cyclic_orders)
-        if (s, r) in g.homs:
-            for d, img in zip(digits, g.homs[(s, r)].gen_images):
-                out = [o + d * v for o, v in zip(out, img)]
+        for d, img in zip(digits, gen_images.get((s, r), ())):
+            out = [o + d * v for o, v in zip(out, img)]
         return out
 
     table = []
@@ -82,17 +82,18 @@ def per_cell_table(g: CliffordSemigroup) -> tuple:
             t, gy = g.block_of[y], g.member_of[y]
             r = g.skeleton.table[s][t]
             total = [a + b for a, b in zip(push(s, r, gx), push(t, r, gy))]
-            row.append(g.offset[r] + g.groups[r].index(total))
+            row.append(g.offset[r] + digits_index(g.groups[r], total))
         table.append(tuple(row))
     return tuple(table)
 
 
-def assert_table_is_the_clifford_semigroup(g: CliffordSemigroup):
-    """g.table is the per-cell definition, and a commutative, associative
-    table whose idempotents are exactly the block identities, multiplying
-    as the skeleton does: what build_clifford leaves to the construction."""
+def assert_table_is_the_clifford_semigroup(g: CliffordSemigroup, gen_images: dict):
+    """g.table is the per-cell definition on the generator digits g was
+    built from, and a commutative, associative table whose idempotents are
+    exactly the block identities, multiplying as the skeleton does: what
+    build_clifford leaves to the construction."""
     table = g.table
-    assert table == per_cell_table(g)
+    assert table == per_cell_table(g, gen_images)
     assert tuple(zip(*table)) == table
     assert _first_nonassociative(table) is None
     assert [x for x in range(g.n) if table[x][x] == x] == sorted(g.offset)
@@ -143,9 +144,10 @@ def test_closed_form_matches_solver_on_non_cyclic_blocks(skeleton, block):
         groups = [FiniteAbelianGroup(k) for k in orders]
         systems = list(hom_systems(skeleton, groups))
         for homs in rng.sample(systems, min(per_pattern, len(systems))):
-            g = build_clifford(skeleton, groups, images_of(homs))
+            gen_images = images_of(groups, homs)
+            g = build_clifford(skeleton, groups, gen_images)
             assert isinstance(g, CliffordSemigroup)
-            assert_table_is_the_clifford_semigroup(g)
+            assert_table_is_the_clifford_semigroup(g, gen_images)
             assert_engines_agree(g)
 
 
@@ -153,20 +155,22 @@ def test_table_matches_the_per_cell_definition_on_the_gap_family():
     instances = gap_instances()
     assert len(instances) == 332
     for inst in instances:
-        assert_table_is_the_clifford_semigroup(build_instance(inst))
+        assert_table_is_the_clifford_semigroup(
+            build_instance(inst), images_of(inst.groups, inst.homs))
 
 
 def test_table_matches_the_per_cell_definition_where_pairs_are_omitted():
     # an omitted pair is the zero map: make_g gives no hom at all, and the
     # Z2 chains give some pairs and leave the others out
     z2 = FiniteAbelianGroup([2])
-    partial = [build_clifford(chain(2), [z2] * 3, {(2, 1): [(1,)]}),
-               build_clifford(chain(3), [z2] * 4, {(3, 2): [(1,)], (2, 1): [(1,)],
-                                                   (3, 1): [(1,)]})]
-    for g in [make_g(2), make_g(3)] + partial:
+    partial = [(chain(2), {(2, 1): [(1,)]}),
+               (chain(3), {(3, 2): [(1,)], (2, 1): [(1,)], (3, 1): [(1,)]})]
+    builds = [(make_g(2), {}), (make_g(3), {})] + [
+        (build_clifford(skeleton, [z2] * skeleton.n, homs), homs) for skeleton, homs in partial]
+    for g, gen_images in builds:
         assert isinstance(g, CliffordSemigroup)
         assert len(g.homs) < sum(map(len, g.skeleton.strictly_below))
-        assert_table_is_the_clifford_semigroup(g)
+        assert_table_is_the_clifford_semigroup(g, gen_images)
         assert_engines_agree(g)
 
 
@@ -396,7 +400,7 @@ def test_shared_build_data_matches_a_fresh_build_on_every_gap_instance():
         shared = build_instance(inst)
         skeleton = Semilattice(inst.skeleton.table)
         groups = tuple(FiniteAbelianGroup(g.cyclic_orders) for g in inst.groups)
-        fresh = build_clifford(skeleton, groups, images_of(inst.homs))
+        fresh = build_clifford(skeleton, groups, images_of(inst.groups, inst.homs))
         assert shared.table == fresh.table
         u, d = unit_and_diagonal(fresh)
         assert unit_and_diagonal(shared) == (u, d)
@@ -606,7 +610,7 @@ def test_the_gap_path_builds_no_table(monkeypatch, capsys):
     # user input is checked on its homs alone, so neither build_clifford
     # nor the clifford command builds a table either
     inst = gap_instances()[-1]
-    images = images_of(inst.homs)
+    images = images_of(inst.groups, inst.homs)
     assert any(any(any(img) for img in imgs) for imgs in images.values())
     assert isinstance(build_clifford(inst.skeleton, inst.groups, images),
                       CliffordSemigroup)
@@ -646,7 +650,7 @@ def test_clifford_output_is_pinned(capsys, skeleton, orders, last_system, digest
     homs = {}
     if last_system:
         *_, last = hom_systems(skeleton, groups)
-        homs = images_of(last)
+        homs = images_of(groups, last)
     assert cli.main(["clifford", clifford_doc(skeleton, groups, homs)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -87,7 +87,7 @@ def test_clifford_engines_agree_on_random_block_systems():
         skel = rng.choice(skeletons)
         groups = [FiniteAbelianGroup(rng.choice(blocks)) for _ in range(skel.n)]
         homs = rng.choice(list(islice(hom_systems(skel, groups), 50)))
-        g = build_clifford(skel, groups, images_of(homs))
+        g = build_clifford(skel, groups, images_of(groups, homs))
         assert isinstance(g, CliffordSemigroup)
         u, d = g.unit, diagonal_closed_form(g)
         assert verify_diagonal(d, u) == (True, None)

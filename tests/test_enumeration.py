@@ -1,9 +1,8 @@
-import functools
 import gc
 import hashlib
 import json
 import random
-import weakref
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -13,7 +12,7 @@ import pytest
 from conftest import images_of
 from oracles import are_isomorphic, enumerate_brute, enumerate_by_families, relabel
 from semiam import clifford, enumeration
-from semiam.clifford import MAX_ELEMENTS, FiniteAbelianGroup, hom_systems
+from semiam.clifford import MAX_ELEMENTS, FiniteAbelianGroup, hom_choices, hom_systems
 from semiam.enumeration import (
     InstanceLimitError,
     InstanceSizeError,
@@ -243,27 +242,18 @@ def test_gap_search_refuses_an_instance_past_the_size_bound(monkeypatch):
 
 
 def test_gap_search_solves_on_the_homs_its_listing_built(monkeypatch):
-    # hom_systems builds and checks one ConnectingHom per distinct map of
-    # the family, and the instances carry those objects: once gap_instances
-    # returns, no hom is built, and each image tuple is computed once
-    made, computed = Counter(), Counter()
+    # hom_systems computes one image tuple per hom_choices tuple of each
+    # group pair of the family, and the instances carry those very tuples:
+    # once gap_instances returns, no image tuple is computed
+    computed = Counter()
     phase = ["listing"]
-    real_images = clifford.ConnectingHom.images.func
+    real_images = clifford.hom_images
 
-    def images(self):
-        computed[phase[0]] += 1
-        return real_images(self)
+    def images(source, target, gen_images):
+        computed[phase[0], source, target] += 1
+        return real_images(source, target, gen_images)
 
-    counted = functools.cached_property(images)
-    counted.__set_name__(clifford.ConnectingHom, "images")
-    monkeypatch.setattr(clifford.ConnectingHom, "images", counted)
-    real_init = clifford.ConnectingHom.__init__
-
-    def init(self, *args):
-        made[phase[0]] += 1
-        real_init(self, *args)
-
-    monkeypatch.setattr(clifford.ConnectingHom, "__init__", init)
+    monkeypatch.setattr(clifford, "hom_images", images)
     listings = []
     real_listing = enumeration.gap_instances
 
@@ -275,49 +265,50 @@ def test_gap_search_solves_on_the_homs_its_listing_built(monkeypatch):
 
     monkeypatch.setattr(enumeration, "gap_instances", listing)
     assert gap_search().instance_count == 332
-    assert made["solving"] == 0
     maps, runs = {}, set()
     for inst in listings[0]:
         runs.add((id(inst.skeleton), id(inst.groups)))
-        for hom in inst.homs.values():
-            key = (hom.source, hom.target, hom.images)
+        for (s, t), hom in inst.homs.items():
+            key = (inst.groups[s], inst.groups[t], hom)
             assert maps.setdefault(key, hom) is hom
     assert len(runs) == 148
-    # the listing built 560 homs, and the search 411 more, one per distinct
-    # map of each run, before the instances carried the listing's homs
-    assert made["listing"] == len(maps) == 24
-    assert computed["listing"] + computed["solving"] == len(maps)
+    assert len(maps) == 24
+    pairs = {(source, target) for source, target, _ in maps}
+    assert computed == Counter({("listing", source, target): len(hom_choices(source, target))
+                                for source, target in pairs})
 
 
 def test_a_search_holds_one_hom_per_map_of_its_family(monkeypatch):
     # over a two-element chain each groups tuple (Z_a, Z_b) has its own
-    # gcd(a, b) maps, one instance each: while the search solves, the live
-    # homs are the listing's, one per map and no copy per instance, and
-    # none is left once the search returns
-    live = weakref.WeakSet()
-    real_init = clifford.ConnectingHom.__init__
+    # gcd(a, b) maps, one instance each: the search computes one image
+    # tuple per map, the instances it solves carry those very tuples and
+    # no copy, and none is held once the search returns
+    made = []
+    real_images = clifford.hom_images
 
-    def init(self, *args):
-        real_init(self, *args)
-        live.add(self)
+    def images(*args):
+        made.append(real_images(*args))
+        return made[-1]
 
     real_solve = clifford.unit_and_diagonal
-    held, groups_seen = [], []
+    groups_seen = []
 
     def solve(g):
+        made_ids = set(map(id, made))
+        assert all(id(hom) in made_ids for hom in g.homs.values())
         if not groups_seen or g.groups is not groups_seen[-1]:
-            gc.collect()
-            held.append(len(live))
             groups_seen.append(g.groups)
         return real_solve(g)
 
-    monkeypatch.setattr(clifford.ConnectingHom, "__init__", init)
+    monkeypatch.setattr(clifford, "hom_images", images)
     monkeypatch.setattr(clifford, "unit_and_diagonal", solve)
     gap_search(2, 8)
-    assert len(held) == 8 + 8 * 8  # the order tuples of sizes 1 and 2
-    assert set(held) == {sum(gcd(a, b) for a in range(1, 9) for b in range(1, 9))}
+    assert len(groups_seen) == 8 + 8 * 8  # the order tuples of sizes 1 and 2
+    assert len(made) == sum(gcd(a, b) for a in range(1, 9) for b in range(1, 9))
+    # each tuple is referred to by this list alone, as a tuple made here is
+    made.append(tuple(list(made[0])))
     gc.collect()
-    assert len(live) == 0
+    assert len({sys.getrefcount(hom) for hom in made}) == 1
     # nor do the groups the instances share keep map data of their own:
     # each keeps its factor orders and its inverses
     assert {frozenset(vars(g)) for groups in groups_seen for g in groups} == {
@@ -339,7 +330,7 @@ def test_groups_shared_by_a_search_keep_no_map_data():
     # it built until it ends
     instances = gap_instances()
     for inst in instances:
-        built = clifford.build_clifford(inst.skeleton, inst.groups, images_of(inst.homs))
+        built = clifford.build_clifford(inst.skeleton, inst.groups, images_of(inst.groups, inst.homs))
         clifford.unit_and_diagonal(built)
     groups = {g for inst in instances for g in inst.groups}
     assert {frozenset(vars(g)) for g in groups} == {

@@ -592,7 +592,24 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """Run main() as a process: flush stdout and stderr, then end at once.
+
+    os._exit skips interpreter teardown, which no output depends on, so
+    atexit hooks do not run.  A crash still propagates with its traceback.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # as in main: devnull takes what is left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

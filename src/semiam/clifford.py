@@ -15,14 +15,14 @@ from itertools import product
 from .diagonal import DiagonalTensor, first_unit_failure, unit, verify_diagonal
 from .exactlinalg import SparseEliminator
 from .moebius import closed_form, mobius_table
-from .semilattice import Semilattice, ValidationReport, Violation, _is_int
+from .semilattice import Semilattice, ValidationReport, Violation, _bits, _is_int
 
 
 # The most elements, sum |G_e|, that from_json_dict accepts.  Diagonal and
 # certificate work grow as n^2 to n^3.  At 510 elements `semiam clifford`
 # takes 1.75-1.85 s on the slowest accepted shape found, a chain of trivial
 # blocks (over a third in the certificate's zeta lift, a quarter in
-# validate), 0.39-0.41 s on flat_with_top(510) and 0.66-0.78 s to reject a
+# validate), 0.39-0.41 s on flat_with_top(510) and 0.11-0.16 s to reject a
 # Z2 chain of 256 with one bad triple: 3 runs each, 2-CPU Xeon, Python 3.11.7.
 MAX_ELEMENTS = 512
 
@@ -268,18 +268,40 @@ def hom_choices(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> list:
                           for a in source.cyclic_orders)))
 
 
-def _triples(skeleton: Semilattice, every_triple=False):
-    """The triples (r, s, t), t < s < r, that a transitivity check tries.
-
-    Only lower covers s of r are listed unless every_triple is set:
-    transitivity through every lower cover gives it through every s < r,
-    by induction on the interval [s, r].
+def _triples(skeleton: Semilattice):
+    """The cover triples (r, s, t), t < s < r with s a lower cover of r,
+    that a transitivity check tries: transitivity through every lower
+    cover gives it through every s < r, by induction on the interval [s, r].
     """
     below = skeleton.strictly_below
-    if every_triple:
-        return ((r, s, t) for r in range(skeleton.n)
-                for s in below[r] for t in below[s])
     return ((r, s, t) for s, r in skeleton.hasse for t in below[s])
+
+
+def _touching(skeleton: Semilattice, given):
+    """Every triple (r, s, t), t < s < r, in which (r, s), (s, t) or (r, t)
+    is a given pair, in (r, s, t) order.
+
+    The triples are read off bitmasks of the given pairs' targets, so the
+    cost follows the pairs and the triples listed, not the n^3 triples.
+    """
+    n, down, up, below = skeleton.n, skeleton.down, skeleton.up, skeleton.strictly_below
+    targets, sources = [0] * n, 0  # targets[s]: the t with (s, t) given
+    for s, t in given:
+        targets[s] |= 1 << t
+        sources |= 1 << s
+    for r in range(n):
+        own, spans = targets[r], 0
+        for t in _bits(own):
+            spans |= up[t]
+        # s touches through (r, s), through some (s, t), or lies above a
+        # t with (r, t) given
+        for s in _bits((own | sources | spans) & down[r] & ~(1 << r)):
+            if own >> s & 1:
+                ts = below[s]
+            else:
+                ts = _bits((targets[s] | own) & down[s] & ~(1 << s))
+            for t in ts:
+                yield r, s, t
 
 
 def _intransitive(push, triples):
@@ -369,17 +391,14 @@ def build_clifford(skeleton: Semilattice, groups, homs=None):
         return ValidationReport(False, violations)
     g = CliffordSemigroup(skeleton, groups, given)
 
-    def failures(every_triple=False):
-        # zero maps compose to zero: only a triple touching a given pair
-        # can fail.  Cover triples decide; only a failure walks every triple
-        return _intransitive(g.push, (
-            (r, s, t) for r, s, t in _triples(skeleton, every_triple)
-            if (r, s) in given or (s, t) in given or (r, t) in given))
-
-    if next(failures(), None) is not None:
-        return ValidationReport(False, [
-            Violation("hom_transitive", triple) for triple in failures(every_triple=True)])
-    return g
+    # zero maps compose to zero: only a triple touching a given pair can
+    # fail.  Cover triples decide; only a failure lists every such triple
+    covers = ((r, s, t) for r, s, t in _triples(skeleton)
+              if (r, s) in given or (s, t) in given or (r, t) in given)
+    if next(_intransitive(g.push, covers), None) is None:
+        return g
+    witnesses = _intransitive(g.push, _touching(skeleton, given))
+    return ValidationReport(False, [Violation("hom_transitive", w) for w in witnesses])
 
 
 def unit_solve(base) -> tuple:

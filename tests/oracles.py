@@ -2,11 +2,12 @@
 
 Two enumeration strategies that back up enumerate_by_extension,
 relabelling and an isomorphism search, the diagonal of a product built
-from its factors, the down-set (Schutzenberger) transform with its
-Moebius inverse, the index of a group element from its digits, and the
-reference verifier, which walks the defining equations of a diagonal on
-the multiplication table.  Elements of the algebra are coefficient tuples
-indexed by element id, as the unit is in the library.
+from its factors, the push of a diagonal along a quotient map, the
+down-set (Schutzenberger) transform with its Moebius inverse, the index
+of a group element from its digits, and the reference verifier, which
+walks the defining equations of a diagonal on the multiplication table.
+Elements of the algebra are coefficient tuples indexed by element id, as
+the unit is in the library.
 """
 
 from fractions import Fraction
@@ -147,6 +148,18 @@ def tensor_diagonal(da: DiagonalTensor, db: DiagonalTensor) -> DiagonalTensor:
                     if v2:
                         target[h1 * nb + h2] = v1 * v2
     return DiagonalTensor(base, rows, da.den * db.den)
+
+
+def push(d: DiagonalTensor, theta, y: Semilattice) -> DiagonalTensor:
+    """(theta (x) theta)(d) over y, for theta a map of d's base onto y given
+    as theta[x], the id of x's image: entry (a, b) of d is added into entry
+    (theta[a], theta[b])."""
+    rows = [[0] * y.n for _ in range(y.n)]
+    for a, row in enumerate(d.rows):
+        target = rows[theta[a]]
+        for b, v in enumerate(row):
+            target[theta[b]] += v
+    return DiagonalTensor(y, rows, d.den)
 
 
 def digits_index(group, digits) -> int:

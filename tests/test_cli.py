@@ -944,6 +944,82 @@ def test_closed_stdout_exits_4_quietly(argv, buffered):
     assert err == b""
 
 
+def test_help_into_a_closed_pipe_exits_4_quietly():
+    # --help is written by argparse into the stdout buffer; entry's own
+    # flush meets the closed pipe, after main has returned
+    import_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(import_root))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "semiam", "--help"],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (cli.EXIT_IO, b"")
+
+
+PROCESS_END_CASES = [
+    (["gap-search"], 0),
+    (["gap-search", "--format", "table"], 0),
+    (["spectrum", "--max-size", "7"], 0),  # about 278 KB
+    (["am", '{"n": 2, "hasse": [[0, 0]]}'], 2),
+    (["--help"], 0),
+    (["gap-search", "--limit", "x"], 2),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+@pytest.mark.parametrize("argv, code", PROCESS_END_CASES,
+                         ids=[" ".join(a)[:40] for a, _ in PROCESS_END_CASES])
+def test_a_process_ends_with_the_output_and_exit_code_of_main(capsys, tmp_path, argv, code,
+                                                              sink, unbuffered):
+    # entry ends the process with os._exit, which flushes nothing: every
+    # byte that main writes in process must reach a file or a pipe first
+    try:
+        expected_code = cli.main(argv)
+    except SystemExit as exc:  # --help and usage errors leave by argparse
+        expected_code = exc.code
+    expected = capsys.readouterr()
+    assert expected_code == code
+    import_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(import_root), PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    command = [sys.executable, "-m", "semiam", *argv]
+    if sink == "file":
+        with open(tmp_path / "out", "wb") as out:
+            child = subprocess.run(command, stdout=out, stderr=subprocess.PIPE,
+                                   env=env, timeout=60)
+        stdout = (tmp_path / "out").read_bytes()
+    else:
+        child = subprocess.run(command, capture_output=True, env=env, timeout=60)
+        stdout = child.stdout
+    assert child.returncode == code
+    assert stdout == expected.out.encode()
+    assert child.stderr == expected.err.encode()
+    assert expected.out or expected.err
+
+
+def test_a_crash_still_exits_1_with_its_traceback():
+    script = (
+        "from semiam import cli\n"
+        "def crash(argv=None):\n"
+        "    raise RuntimeError('engine fault')\n"
+        "cli.main = crash\n"
+        "cli.entry()\n"
+    )
+    import_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(import_root))
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env, timeout=60)
+    assert child.returncode == 1
+    assert child.stderr.startswith("Traceback (most recent call last):")
+    assert child.stderr.endswith("RuntimeError: engine fault\n")
+
+
 def _readme_examples():
     """(argv, expected stdout) for each `$ semiam ...` command in the
     README's text example block; a command runs on until its quotes close."""

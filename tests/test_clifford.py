@@ -199,6 +199,34 @@ def test_a_reject_composes_only_the_triples_that_touch_a_given_pair(monkeypatch)
         assert len(pushes) == 3 * (2 * n - 2)
 
 
+def test_the_reject_listing_is_the_every_triple_filter():
+    # the listing is built from the given pairs; the oracle walks every
+    # triple t < s < r and keeps those that touch one.  Seeded Z2 chains,
+    # whose maps are the identity or the zero map, and two wider skeletons,
+    # where an interval (t, r) holds several s
+    rng = random.Random(35)
+    z2 = FiniteAbelianGroup([2])
+    for skeleton in [chain(n) for n in (3, 6, 12, 25)] + [power_set(3), make_six()]:
+        strict = [(s, t) for s in range(skeleton.n) for t in skeleton.strictly_below[s]]
+        every = [(r, s, t) for r in range(skeleton.n) for s in skeleton.strictly_below[r]
+                 for t in skeleton.strictly_below[s]]
+        for _ in range(12):
+            given = {pair: [(1,)] for pair in rng.sample(strict, rng.randint(1, len(strict)))}
+            touching = [(r, s, t) for r, s, t in every
+                        if (r, s) in given or (s, t) in given or (r, t) in given]
+            assert list(clifford_mod._touching(skeleton, given)) == touching
+            groups = [z2] * skeleton.n
+            g = CliffordSemigroup(skeleton, groups, {
+                pair: hom_images(z2, z2, images) for pair, images in given.items()})
+            witnesses = list(clifford_mod._intransitive(g.push, touching))
+            built = build_clifford(skeleton, groups, given)
+            if witnesses:
+                assert [(v.axiom, v.witness) for v in built.violations] == [
+                    ("hom_transitive", w) for w in witnesses]
+            else:
+                assert isinstance(built, CliffordSemigroup)
+
+
 # systems of non-trivial Z2 maps over chain(2) that omit pairs, with the
 # transitivity witnesses each must be rejected with: an omitted pair is the
 # zero map, so a triple touched at (r, t) alone can fail too
